@@ -216,3 +216,9 @@ EOF
 # oracle on the hold model; asserts identical pop order while timing
 # and emits target/BENCH_event_queue.json.
 cargo bench -q -p bct-bench --bench event_queue
+
+# Greedy dispatch on the 1024-leaf fat tree at sampled live states: the
+# bench asserts the aggregate-backed score loop is >=5x faster than the
+# scan oracle, and that the production `assign` (F once per entry node)
+# picks the score loop's leaf and is >=4x faster than it.
+cargo bench -q -p bct-bench --bench dispatch

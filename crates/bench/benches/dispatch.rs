@@ -1,15 +1,26 @@
-//! Greedy dispatch-scoring benchmark: aggregate-backed `O(log |Q|)`
-//! queue queries vs the naive `O(|Q|)` scan oracle.
+//! Greedy dispatch benchmark: aggregate-backed `O(log |Q|)` queue
+//! queries vs the naive `O(|Q|)` scan oracle, and the production
+//! decision vs a per-leaf score loop.
 //!
 //! One driving simulation per variant (round-robin assignment, SJF
-//! nodes, 50k jobs on a 1024-leaf fat tree) provides live queue states;
-//! at sampled arrivals a probe times full greedy assignments — score
-//! every leaf, take the argmin — through `GreedyIdentical::score`. Both
-//! variants run the *same* scoring code: the "aggregate" run keys the
-//! engine's queue aggregates like the policy (fast path taken), the
-//! "naive" run mis-keys them (class-rounded engine vs raw-size policy),
-//! so every query falls back to the scan oracle. Only the time inside
-//! the scoring loop is measured.
+//! nodes, 50k jobs on a 1024-leaf fat tree) provides live queue states.
+//! At sampled arrivals a probe times, on the same state, two ways of
+//! making one greedy decision:
+//!
+//! * the **score loop** — score every leaf through
+//!   `GreedyIdentical::score`, take the argmin: `F` is evaluated once
+//!   per leaf;
+//! * **`assign`** — `AssignmentPolicy::assign`, the decision `bct serve`
+//!   and the sweeps run: `F` is evaluated once per entry node (16 here).
+//!
+//! Both must pick the same leaf. Both variants run the same code: the
+//! "aggregate" run keys the engine's queue aggregates like the policy
+//! (fast path taken), the "naive" run mis-keys them (class-rounded
+//! engine vs raw-size policy), so every query falls back to the scan
+//! oracle. Only the time inside the timed calls is measured. The bench
+//! asserts the aggregate score loop is >=5x faster than the naive one,
+//! and that on the aggregate run `assign` is >=4x faster than the score
+//! loop.
 
 use bct_core::{ClassRounding, Instance, JobId, NodeId, SpeedProfile};
 use bct_policies::Sjf;
@@ -18,7 +29,8 @@ use bct_sim::policy::Probe;
 use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation};
 use bct_workloads::jobs::{SizeDist, WorkloadSpec};
 use bct_workloads::topo;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Cheap deterministic driving assignment: cycle over the leaves.
@@ -38,24 +50,32 @@ impl AssignmentPolicy for RoundRobin {
     }
 }
 
-/// Times `reps` full greedy assignments at every `sample_every`-th
-/// arrival (skipping the cold start), accumulating only scoring time.
-struct ScoringTimer {
-    policy: GreedyIdentical,
-    sample_every: usize,
-    reps: u64,
-    elapsed: Duration,
-    assignments: u64,
+/// Time spent in each way of deciding, over `decisions` decisions each.
+struct Timings {
+    score_loop: Duration,
+    assign: Duration,
+    decisions: u64,
     sink: f64,
 }
 
-impl Probe for ScoringTimer {
+/// Times `reps` score-loop decisions and `reps` `assign` calls at every
+/// `sample_every`-th arrival (skipping the cold start), accumulating
+/// only the time inside them.
+struct DecisionTimer {
+    policy: GreedyIdentical,
+    sample_every: usize,
+    reps: u64,
+    t: Timings,
+}
+
+impl Probe for DecisionTimer {
     fn on_arrival(&mut self, view: &SimView<'_>, job: JobId, _leaf: NodeId) {
         let id = job.as_usize();
         if id == 0 || id % self.sample_every != 0 {
             return;
         }
-        let leaves = view.instance().tree().leaves();
+        let leaves = view.tree().leaves();
+        let mut loop_leaf = leaves[0];
         let start = Instant::now();
         for _ in 0..self.reps {
             let mut best = f64::INFINITY;
@@ -63,39 +83,60 @@ impl Probe for ScoringTimer {
                 let s = self.policy.score(view, job, v);
                 if s < best {
                     best = s;
+                    loop_leaf = v;
                 }
             }
-            self.sink += best;
+            self.t.sink += best;
         }
-        self.elapsed += start.elapsed();
-        self.assignments += self.reps;
+        self.t.score_loop += start.elapsed();
+
+        let mut policy = self.policy;
+        let mut picked = leaves[0];
+        let start = Instant::now();
+        for _ in 0..self.reps {
+            picked = black_box(policy.assign(black_box(view), job));
+        }
+        self.t.assign += start.elapsed();
+        assert_eq!(
+            picked, loop_leaf,
+            "assign and the score loop disagree for {job}"
+        );
+        self.t.decisions += self.reps;
     }
 }
 
-/// Run the driving simulation and return (scoring time, assignments
-/// timed, checksum). `fast` keys the engine aggregates to match the
-/// scoring policy; otherwise they are deliberately mis-keyed so every
-/// query takes the scan fallback.
-fn measure(inst: &Instance, reps: u64, fast: bool) -> (Duration, u64, f64) {
+/// Run the driving simulation and time the sampled decisions. `fast`
+/// keys the engine aggregates to match the scoring policy; otherwise
+/// they are deliberately mis-keyed so every query takes the scan
+/// fallback.
+fn measure(inst: &Instance, reps: u64, fast: bool) -> Timings {
     let mut cfg = SimConfig::with_speeds(SpeedProfile::unit());
     if !fast {
         cfg.dispatch_rounding = Some(ClassRounding::new(0.5));
     }
-    let mut probe = ScoringTimer {
+    let mut probe = DecisionTimer {
         policy: GreedyIdentical::new(0.5),
         sample_every: inst.n() / 10,
         reps,
-        elapsed: Duration::ZERO,
-        assignments: 0,
-        sink: 0.0,
+        t: Timings {
+            score_loop: Duration::ZERO,
+            assign: Duration::ZERO,
+            decisions: 0,
+            sink: 0.0,
+        },
     };
     let mut asg = RoundRobin {
         leaves: inst.tree().leaves().to_vec(),
         next: 0,
     };
     Simulation::run(inst, &Sjf::new(), &mut asg, &mut probe, &cfg).unwrap();
-    assert!(probe.assignments > 0, "probe never sampled an arrival");
-    (probe.elapsed, probe.assignments, probe.sink)
+    assert!(probe.t.decisions > 0, "probe never sampled an arrival");
+    probe.t
+}
+
+/// Decisions per second over `d`.
+fn rate(n: u64, d: Duration) -> f64 {
+    n as f64 / d.as_secs_f64()
 }
 
 fn dispatch_scoring(c: &mut Criterion) {
@@ -115,31 +156,52 @@ fn dispatch_scoring(c: &mut Criterion) {
     .expect("valid instance");
 
     let reps = 5;
-    let (fast_t, fast_n, fast_sink) = measure(&inst, reps, true);
-    let (slow_t, slow_n, slow_sink) = measure(&inst, reps, false);
-    assert_eq!(fast_n, slow_n);
+    let fast = measure(&inst, reps, true);
+    let slow = measure(&inst, reps, false);
+    assert_eq!(fast.decisions, slow.decisions);
     // Same scores up to summation order; a checksum divergence means the
     // two paths scored different queues.
     assert!(
-        (fast_sink - slow_sink).abs() <= 1e-6 * (1.0 + slow_sink.abs()),
-        "checksum diverged: {fast_sink} vs {slow_sink}"
+        (fast.sink - slow.sink).abs() <= 1e-6 * (1.0 + slow.sink.abs()),
+        "checksum diverged: {} vs {}",
+        fast.sink,
+        slow.sink
     );
 
     let mut g = c.benchmark_group("dispatch_scoring");
-    g.sample_size(fast_n as usize);
-    g.bench_function("greedy-assign/aggregate/1024-leaves-50k-jobs", |b| {
-        b.iter_custom(|_| fast_t)
-    });
-    g.bench_function("greedy-assign/naive/1024-leaves-50k-jobs", |b| {
-        b.iter_custom(|_| slow_t)
-    });
+    g.sample_size(fast.decisions as usize);
+    let series = [
+        ("aggregate", fast.score_loop),
+        ("naive", slow.score_loop),
+        ("assign-aggregate", fast.assign),
+        ("assign-naive", slow.assign),
+    ];
+    for (variant, d) in series {
+        let id = BenchmarkId::new(format!("greedy-assign/{variant}"), "1024-leaves-50k-jobs");
+        g.bench_function(id, |b| b.iter_custom(|_| d));
+    }
     g.finish();
 
-    let speedup = slow_t.as_secs_f64() / fast_t.as_secs_f64();
+    let n = fast.decisions;
+    println!(
+        "dispatch_scoring/rates (decisions/s): score loop {:.0} aggregate / {:.0} naive; \
+         assign {:.0} aggregate / {:.0} naive",
+        rate(n, fast.score_loop),
+        rate(n, slow.score_loop),
+        rate(n, fast.assign),
+        rate(n, slow.assign)
+    );
+    let speedup = slow.score_loop.as_secs_f64() / fast.score_loop.as_secs_f64();
     println!("dispatch_scoring/speedup(naive/aggregate): {speedup:.1}x");
+    let assign_speedup = fast.score_loop.as_secs_f64() / fast.assign.as_secs_f64();
+    println!("dispatch_scoring/speedup(score loop/assign): {assign_speedup:.1}x");
     assert!(
         speedup >= 5.0,
         "aggregate scoring must be >=5x faster than the scan oracle, got {speedup:.1}x"
+    );
+    assert!(
+        assign_speedup >= 4.0,
+        "assign must be >=4x faster than the per-leaf score loop, got {assign_speedup:.1}x"
     );
 }
 

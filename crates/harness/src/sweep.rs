@@ -4,8 +4,9 @@
 //! speed profiles × replications — as plain strings in the crate's spec
 //! grammar (see [`crate::spec`]). [`expand`] turns it into a flat,
 //! stably-indexed task list; [`run_sweep`] executes the tasks on the
-//! worker pool, streams every finished cell to a [`RowSink`] and the
-//! [`StreamingAgg`], and returns an index-sorted [`SweepReport`].
+//! worker pool, streams every finished cell to a [`RowSink`], folds the
+//! rows into a [`StreamingAgg`] in cell order, and returns an
+//! index-sorted [`SweepReport`].
 //!
 //! **Seeding.** Each cell's RNG seed is `splitmix64` of the spec's
 //! `root_seed` and the cell's grid index — never of worker identity —
@@ -731,7 +732,7 @@ pub struct SweepReport {
     /// All rows, sorted by cell index (deterministic at any worker
     /// count).
     pub rows: Vec<SweepRow>,
-    /// The streaming aggregate.
+    /// The aggregate of `rows`, folded in cell order.
     pub agg: StreamingAgg,
     /// Completed cells.
     pub ok: usize,
@@ -844,7 +845,6 @@ pub fn run_sweep(
     let every = (total / 20).clamp(1, 64);
     // bct-lint: allow(d2) -- progress/ETA display only; never feeds a row or an aggregate
     let started = Instant::now();
-    let mut agg = StreamingAgg::default();
     let mut sink_error: Option<String> = None;
     let mut done = 0usize;
     let mut failed = 0usize;
@@ -852,7 +852,6 @@ pub fn run_sweep(
         if matches!(row.outcome, RowOutcome::Failed { .. }) {
             failed += 1;
         }
-        agg.observe(row);
         if let Err(e) = sink.write_row(row) {
             sink_error.get_or_insert_with(|| format!("sink: {e}"));
         }
@@ -863,6 +862,13 @@ pub fn run_sweep(
     });
     if let Some(e) = sink_error {
         return Err(e);
+    }
+    // Fold in cell order, not in the workers' completion order: float
+    // sums depend on their order, and the summary must not depend on
+    // thread timing.
+    let mut agg = StreamingAgg::default();
+    for row in &rows {
+        agg.observe(row);
     }
     let ok = rows.iter().filter(|r| matches!(r.outcome, RowOutcome::Ok(_))).count();
     let failed = rows.len() - ok;

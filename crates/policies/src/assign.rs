@@ -119,21 +119,23 @@ impl AssignmentPolicy for LeastVolume {
         "least-volume"
     }
 
+    // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
-        *view
-            .tree()
-            .leaves()
-            .iter()
-            .min_by(|&&a, &&b| {
-                let score = |v: NodeId| {
-                    let entry = view.entry_node(job, v);
-                    let vol_entry: f64 = view.q(entry).map(|i| view.remaining_at(i, entry)).sum();
-                    let vol_leaf: f64 = view.q(v).map(|i| view.remaining_at(i, v)).sum();
-                    vol_entry + vol_leaf + view.eta_via(job, v)
-                };
-                score(a).partial_cmp(&score(b)).unwrap().then(a.cmp(&b))
-            })
-            .expect("tree has leaves")
+        // The entry node's volume is shared by every leaf below it:
+        // scan its queue once per run of leaves with that entry node.
+        let mut entry_memo: Option<(NodeId, f64)> = None;
+        min_scored_leaf(view, |v| {
+            let entry = view.entry_node(job, v);
+            let vol_entry = match entry_memo {
+                Some((memo_entry, vol)) if memo_entry == entry => vol,
+                _ => {
+                    let vol = queued_volume(view, entry);
+                    entry_memo = Some((entry, vol));
+                    vol
+                }
+            };
+            vol_entry + queued_volume(view, v) + view.eta_via(job, v)
+        })
     }
 
     fn needs_aggregates(&self) -> bool {
@@ -151,23 +153,39 @@ impl AssignmentPolicy for MinEta {
         "min-eta"
     }
 
+    // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
-        *view
-            .tree()
-            .leaves()
-            .iter()
-            .min_by(|&&a, &&b| {
-                view.eta_via(job, a)
-                    .partial_cmp(&view.eta_via(job, b))
-                    .unwrap()
-                    .then(a.cmp(&b))
-            })
-            .expect("tree has leaves")
+        min_scored_leaf(view, |v| view.eta_via(job, v))
     }
 
     fn needs_aggregates(&self) -> bool {
         false
     }
+}
+
+/// `Σ_{i ∈ Q_v(t)} p^A_{i,v}(t)`: the remaining work queued through `v`.
+fn queued_volume(view: &SimView<'_>, v: NodeId) -> f64 {
+    view.q(v).map(|i| view.remaining_at(i, v)).sum()
+}
+
+/// The leaf minimizing `(score, id)`, scoring each leaf once, in leaf
+/// order. Panics on a NaN score.
+// bct-lint: no_alloc
+fn min_scored_leaf(view: &SimView<'_>, mut score: impl FnMut(NodeId) -> f64) -> NodeId {
+    let mut best: Option<(f64, NodeId)> = None;
+    for &v in view.tree().leaves() {
+        let s = score(v);
+        let better = best.is_none_or(|(best_s, best_v)| {
+            s.partial_cmp(&best_s)
+                .expect("leaf scores are never NaN")
+                .then(v.cmp(&best_v))
+                .is_lt()
+        });
+        if better {
+            best = Some((s, v));
+        }
+    }
+    best.expect("tree has leaves").1
 }
 
 #[cfg(test)]

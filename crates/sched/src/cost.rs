@@ -20,7 +20,10 @@
 //! Each term costs two [`bct_policies::prio`] queue queries — `O(log
 //! |Q_v|)` against an engine maintaining matching queue aggregates
 //! (`SimConfig::dispatch_rounding` equal to the `rounding` passed
-//! here), `O(|Q_v|)` scans otherwise.
+//! here), `O(|Q_v|)` scans otherwise. `F` depends on the leaf only
+//! through its entry node, so a caller scoring every leaf evaluates it
+//! once per entry node with [`f_term_at`]: `|R|` evaluations per
+//! decision, not `|L|`.
 
 use bct_core::{ClassRounding, JobId, NodeId, Time};
 use bct_policies::prio;
@@ -34,9 +37,18 @@ pub fn f_term(
     j: JobId,
     leaf: NodeId,
 ) -> Time {
-    let inst = view.instance();
-    let r = view.entry_node(j, leaf);
-    let p_j = inst.p(j, r);
+    f_term_at(view, rounding, j, view.entry_node(j, leaf))
+}
+
+/// `F(j,v)` for every leaf `v` with entry node `R(v) = r` — the same
+/// value [`f_term`] returns for each of them, computed once.
+pub fn f_term_at(
+    view: &SimView<'_>,
+    rounding: Option<&ClassRounding>,
+    j: JobId,
+    r: NodeId,
+) -> Time {
+    let p_j = view.instance().p(j, r);
     let s_vol = prio::s_volume_excl(view, rounding, r, j) + p_j; // S includes J_j
     let larger = prio::count_larger(view, rounding, r, j) as f64;
     s_vol + p_j * larger

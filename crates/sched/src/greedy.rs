@@ -10,26 +10,49 @@
 //! §§3.5–3.6 analyzes it) but is well defined — and is run as an
 //! empirical heuristic — on arbitrary trees.
 //!
-//! Scoring one leaf costs `O(log |Q|)` when the engine maintains queue
+//! `F(j,v)` depends on `v` only through its entry node `R(v)`, so one
+//! decision evaluates it once per entry node (once per run of leaves
+//! sharing one, in id order) and adds the per-leaf terms inside the
+//! leaf loop: the `O(1)` distance term, plus `F'` (two `O(log |Q_v|)`
+//! leaf queries) for unrelated endpoints. An identical-endpoint decision
+//! on a tree whose entry nodes own contiguous leaf ranges therefore
+//! costs `O(|R|·log max|Q| + |L|)`, provided the engine maintains queue
 //! aggregates keyed like this rule — configure the run with
 //! `SimConfig::dispatch_rounding` equal to [`GreedyIdentical::rounding`]
-//! / [`GreedyUnrelated::rounding`]. On a mismatch the scoring silently
-//! degrades to `O(|Q|)` queue scans (same answers, just slower).
+//! / [`GreedyUnrelated::rounding`]. On a mismatch the queue queries
+//! silently degrade to `O(|Q|)` scans (same answers, just slower).
 
-use crate::cost::{distance_term, f_prime_term, f_term};
+use crate::cost::{distance_term, f_prime_term, f_term, f_term_at};
 use bct_core::{ClassRounding, JobId, NodeId, Time};
 use bct_sim::{AssignmentPolicy, SimView};
 
+/// The first leaf, in id order, that strictly minimizes
+/// `score(F(j,R(v)), v)`. `F` is recomputed only when a leaf's entry
+/// node differs from the previous leaf's; where the leaves of one entry
+/// node are not contiguous (leaves added by mutation, random trees) it
+/// is recomputed more often, never reused for the wrong node.
+// bct-lint: no_alloc
 fn argmin_leaf(
     view: &SimView<'_>,
+    rounding: Option<&ClassRounding>,
     j: JobId,
-    mut score: impl FnMut(&SimView<'_>, JobId, NodeId) -> Time,
+    mut score: impl FnMut(Time, NodeId) -> Time,
 ) -> NodeId {
     let leaves = view.tree().leaves();
     let mut best = leaves[0];
     let mut best_score = f64::INFINITY;
+    let mut memo: Option<(NodeId, Time)> = None;
     for &v in leaves {
-        let s = score(view, j, v);
+        let r = view.entry_node(j, v);
+        let f = match memo {
+            Some((memo_r, f)) if memo_r == r => f,
+            _ => {
+                let f = f_term_at(view, rounding, j, r);
+                memo = Some((r, f));
+                f
+            }
+        };
+        let s = score(f, v);
         debug_assert!(s.is_finite(), "non-finite assignment score");
         if s < best_score {
             best_score = s;
@@ -89,10 +112,18 @@ impl GreedyIdentical {
     /// (`d_v` generalizes to the job's actual path length for non-root
     /// origins).
     pub fn score(&self, view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
+        self.score_given_f(view, j, leaf, f_term(view, self.rounding.as_ref(), j, leaf))
+    }
+
+    /// [`Self::score`] with `F(j,v)` already evaluated.
+    fn score_given_f(&self, view: &SimView<'_>, j: JobId, leaf: NodeId, f: Time) -> Time {
         let inst = view.instance();
-        f_term(view, self.rounding.as_ref(), j, leaf)
-            + self.distance_weight
-                * distance_term(self.epsilon, inst.job(j).size, view.path_for(j, leaf).len() as u32)
+        f + self.distance_weight
+            * distance_term(
+                self.epsilon,
+                inst.job(j).size,
+                view.path_for(j, leaf).len() as u32,
+            )
     }
 }
 
@@ -101,9 +132,12 @@ impl AssignmentPolicy for GreedyIdentical {
         "greedy-identical"
     }
 
+    // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, job, move |view, j, v| me.score(view, j, v))
+        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| {
+            me.score_given_f(view, job, v, f)
+        })
     }
 }
 
@@ -141,10 +175,19 @@ impl GreedyUnrelated {
     /// The score minimized over leaves:
     /// `F(j,v) + F'(j,v) + (6/ε²)·d_v·p_j`.
     pub fn score(&self, view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
+        self.score_given_f(view, j, leaf, f_term(view, self.rounding.as_ref(), j, leaf))
+    }
+
+    /// [`Self::score`] with `F(j,v)` already evaluated; the sum stays
+    /// `(F + F') + distance`, as reassociating it changes low bits.
+    fn score_given_f(&self, view: &SimView<'_>, j: JobId, leaf: NodeId, f: Time) -> Time {
         let inst = view.instance();
-        f_term(view, self.rounding.as_ref(), j, leaf)
-            + f_prime_term(view, self.rounding.as_ref(), j, leaf)
-            + distance_term(self.epsilon, inst.job(j).size, view.path_for(j, leaf).len() as u32)
+        f + f_prime_term(view, self.rounding.as_ref(), j, leaf)
+            + distance_term(
+                self.epsilon,
+                inst.job(j).size,
+                view.path_for(j, leaf).len() as u32,
+            )
     }
 }
 
@@ -153,9 +196,12 @@ impl AssignmentPolicy for GreedyUnrelated {
         "greedy-unrelated"
     }
 
+    // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, job, move |view, j, v| me.score(view, j, v))
+        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| {
+            me.score_given_f(view, job, v, f)
+        })
     }
 }
 

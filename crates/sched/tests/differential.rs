@@ -1,5 +1,7 @@
 //! Differential tests: the aggregate-backed `O(log)` dispatch scoring
-//! must agree with the scan oracle (`bct_policies::prio::naive`).
+//! must agree with the scan oracle (`bct_policies::prio::naive`), and
+//! each production leaf decision — which scores an entry node once for
+//! all the leaves below it — must pick the leaf a per-leaf oracle picks.
 //!
 //! The exact-equality suites draw every quantity from dyadic rationals
 //! — power-of-two sizes, quarter-integer releases, unit speeds — so all
@@ -9,12 +11,13 @@
 //! summation orders may differ in the last bits.
 
 use bct_core::tree::TreeBuilder;
-use bct_core::{ClassRounding, Instance, Job, JobId, NodeId, SpeedProfile, Tree};
+use bct_core::{ClassRounding, Instance, Job, JobId, NodeId, SpeedProfile, Tree, TreeMutation};
 use bct_policies::prio::{self, naive};
-use bct_policies::Sjf;
+use bct_policies::{LeastVolume, MinEta, Sjf};
 use bct_sched::cost::{f_prime_term, f_term};
-use bct_sim::policy::Probe;
-use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation};
+use bct_sched::{GreedyIdentical, GreedyUnrelated};
+use bct_sim::policy::{NoProbe, Probe};
+use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation, TopoMutation};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -74,8 +77,8 @@ fn random_instance(seed: u64, unrelated: bool, dyadic: bool) -> Instance {
     Instance::new(t, jobs).unwrap()
 }
 
-/// First-strict-minimum argmin over the leaves — the same tie-breaking
-/// as the greedy rules' internal `argmin_leaf`.
+/// First-strict-minimum argmin over the leaves — the greedy rules'
+/// tie-breaking.
 fn argmin_leaf(leaves: &[NodeId], mut score: impl FnMut(NodeId) -> f64) -> NodeId {
     let mut best = leaves[0];
     let mut best_score = f64::INFINITY;
@@ -186,15 +189,142 @@ impl AssignmentPolicy for GreedyByF {
     }
 }
 
+/// A production leaf-assignment rule, paired with a per-leaf oracle
+/// that scores every leaf from scratch.
+#[derive(Clone, Copy, Debug)]
+enum Rule {
+    Identical(GreedyIdentical),
+    Unrelated(GreedyUnrelated),
+    LeastVolume,
+    MinEta,
+}
+
+impl Rule {
+    /// Every production rule the sweeps and `bct serve` can dispatch
+    /// with. `with_classes(1.0)` matches the class-rounded engine
+    /// aggregates of the suites below (fast path) and mismatches the
+    /// raw ones (scan path). Distance weight 0 makes every leaf under
+    /// one entry node tie, so the first-strict-minimum rule decides.
+    fn all() -> [Rule; 7] {
+        [
+            Rule::Identical(GreedyIdentical::new(1.0)),
+            Rule::Identical(GreedyIdentical::with_classes(1.0)),
+            Rule::Identical(GreedyIdentical::new(1.0).with_distance_weight(0.0)),
+            Rule::Unrelated(GreedyUnrelated::new(2.0)),
+            Rule::Unrelated(GreedyUnrelated::with_classes(1.0)),
+            Rule::LeastVolume,
+            Rule::MinEta,
+        ]
+    }
+
+    /// The engine rounding that gives this rule's queries the fast path.
+    fn rounding(&self) -> Option<ClassRounding> {
+        match self {
+            Rule::Identical(g) => g.rounding(),
+            Rule::Unrelated(g) => g.rounding(),
+            Rule::LeastVolume | Rule::MinEta => None,
+        }
+    }
+
+    /// The production decision.
+    fn decide(&self, view: &SimView<'_>, job: JobId) -> NodeId {
+        match *self {
+            Rule::Identical(mut g) => g.assign(view, job),
+            Rule::Unrelated(mut g) => g.assign(view, job),
+            Rule::LeastVolume => LeastVolume.assign(view, job),
+            Rule::MinEta => MinEta.assign(view, job),
+        }
+    }
+
+    /// The per-leaf oracle: the argmin of the public `score` for the
+    /// greedy rules; for the baselines, their former `min_by` bodies,
+    /// which rescore both sides of every comparison.
+    fn oracle(&self, view: &SimView<'_>, job: JobId) -> NodeId {
+        let leaves = view.tree().leaves();
+        match self {
+            Rule::Identical(g) => argmin_leaf(leaves, |v| g.score(view, job, v)),
+            Rule::Unrelated(g) => argmin_leaf(leaves, |v| g.score(view, job, v)),
+            Rule::LeastVolume => *view
+                .tree()
+                .leaves()
+                .iter()
+                .min_by(|&&a, &&b| {
+                    let score = |v: NodeId| {
+                        let entry = view.entry_node(job, v);
+                        let vol_entry: f64 =
+                            view.q(entry).map(|i| view.remaining_at(i, entry)).sum();
+                        let vol_leaf: f64 = view.q(v).map(|i| view.remaining_at(i, v)).sum();
+                        vol_entry + vol_leaf + view.eta_via(job, v)
+                    };
+                    score(a).partial_cmp(&score(b)).unwrap().then(a.cmp(&b))
+                })
+                .expect("tree has leaves"),
+            Rule::MinEta => *view
+                .tree()
+                .leaves()
+                .iter()
+                .min_by(|&&a, &&b| {
+                    view.eta_via(job, a)
+                        .partial_cmp(&view.eta_via(job, b))
+                        .unwrap()
+                        .then(a.cmp(&b))
+                })
+                .expect("tree has leaves"),
+        }
+    }
+}
+
+/// Dispatches like `inner`, but first asks every production rule for
+/// its decision on the same pre-dispatch state and asserts it equals
+/// the rule's per-leaf oracle. Both sides perform the same float
+/// operations on the same values, so they must agree on any data.
+struct CheckDecisions {
+    inner: GreedyByF,
+    decisions: usize,
+}
+
+impl AssignmentPolicy for CheckDecisions {
+    fn name(&self) -> &'static str {
+        "check-decisions"
+    }
+    fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
+        for rule in Rule::all() {
+            assert_eq!(
+                rule.decide(view, job),
+                rule.oracle(view, job),
+                "{rule:?} diverged from its oracle for {job} at t={}",
+                view.now()
+            );
+            self.decisions += 1;
+        }
+        self.inner.assign(view, job)
+    }
+}
+
+/// Dispatches with a rule's per-leaf oracle — the reference a whole
+/// run under the production rule is compared against.
+struct OracleDispatch(Rule);
+
+impl AssignmentPolicy for OracleDispatch {
+    fn name(&self) -> &'static str {
+        "oracle"
+    }
+    fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
+        self.0.oracle(view, job)
+    }
+}
+
 /// Run `inst` under greedy dispatch with the engine's aggregates keyed
 /// by `engine_rounding`, checking every query against the oracle with
-/// `query_rounding`. Returns the number of per-leaf check sites.
+/// `query_rounding` and every production decision against its per-leaf
+/// oracle. Returns the number of per-leaf check sites and of checked
+/// decisions.
 fn run_diff(
     inst: &Instance,
     engine_rounding: Option<ClassRounding>,
     query_rounding: Option<ClassRounding>,
     exact: bool,
-) -> usize {
+) -> (usize, usize) {
     let mut cfg = SimConfig::with_speeds(SpeedProfile::unit());
     cfg.dispatch_rounding = engine_rounding;
     let mut probe = DiffProbe {
@@ -202,15 +332,24 @@ fn run_diff(
         exact,
         checks: 0,
     };
-    Simulation::run(
-        inst,
-        &Sjf::new(),
-        &mut GreedyByF(query_rounding),
-        &mut probe,
-        &cfg,
-    )
-    .unwrap();
-    probe.checks
+    let mut asg = CheckDecisions {
+        inner: GreedyByF(query_rounding),
+        decisions: 0,
+    };
+    Simulation::run(inst, &Sjf::new(), &mut asg, &mut probe, &cfg).unwrap();
+    (probe.checks, asg.decisions)
+}
+
+/// Does some entry node own a non-contiguous run of `t`'s leaves (in
+/// id order)? Then a decision refills its entry-node memo more than
+/// `|R|` times.
+fn entry_runs_interleave(t: &Tree) -> bool {
+    let changes = t
+        .leaves()
+        .windows(2)
+        .filter(|w| t.r_node(w[0]) != t.r_node(w[1]))
+        .count();
+    changes + 1 > t.root_adjacent().len()
 }
 
 proptest! {
@@ -226,8 +365,9 @@ proptest! {
     ) {
         let inst = random_instance(seed, unrelated, true);
         let r = classes.then(|| ClassRounding::new(1.0));
-        let checks = run_diff(&inst, r.clone(), r, true);
+        let (checks, decisions) = run_diff(&inst, r.clone(), r, true);
         prop_assert!(checks > 0, "probe never fired");
+        prop_assert_eq!(decisions, Rule::all().len() * inst.n());
     }
 
     /// Mismatched rounding config: the helpers must fall back to the
@@ -241,7 +381,7 @@ proptest! {
         let inst = random_instance(seed, false, true);
         let engine = engine_classes.then(|| ClassRounding::new(1.0));
         let query = if engine_classes { None } else { Some(ClassRounding::new(1.0)) };
-        let checks = run_diff(&inst, engine, query, true);
+        let (checks, _) = run_diff(&inst, engine, query, true);
         prop_assert!(checks > 0);
     }
 
@@ -254,7 +394,7 @@ proptest! {
     ) {
         let inst = random_instance(seed, unrelated, false);
         let r = classes.then(|| ClassRounding::new(0.5));
-        let checks = run_diff(&inst, r.clone(), r, false);
+        let (checks, _) = run_diff(&inst, r.clone(), r, false);
         prop_assert!(checks > 0);
     }
 }
@@ -284,4 +424,67 @@ fn aggregates_never_change_the_schedule() {
         }
         assert_eq!(outs[0], outs[1], "seed {seed}");
     }
+}
+
+/// The random trees above must exercise the entry-node memo's refill
+/// path: most of them interleave the leaves of different entry nodes.
+#[test]
+fn random_trees_interleave_entry_nodes() {
+    let seeds = 48u64;
+    let interleaved = (0..seeds)
+        .filter(|&seed| entry_runs_interleave(random_instance(seed, false, true).tree()))
+        .count() as u64;
+    assert!(
+        2 * interleaved > seeds,
+        "{interleaved}/{seeds} random trees interleave"
+    );
+}
+
+/// Whole runs with leaves appended by `AddLeaf` mid-run — new ids land
+/// at the end of the leaf list, out of entry-node order — must produce
+/// the same assignments and completions under each production rule as
+/// under its per-leaf oracle.
+#[test]
+fn production_rules_match_oracles_under_add_leaf() {
+    let mut on_appended = 0;
+    for seed in 0..12u64 {
+        let inst = random_instance(seed, false, true);
+        let entries = inst.tree().root_adjacent().to_vec();
+        // Alternate the receiving entry nodes so the appended leaves
+        // interleave with each other as well as with the static ones.
+        let mutations: Vec<TopoMutation> = [1.0, 2.5, 4.0, 5.5]
+            .iter()
+            .zip(entries.iter().cycle())
+            .map(|(&at, &parent)| TopoMutation {
+                at,
+                change: TreeMutation::AddLeaf { parent },
+            })
+            .collect();
+        for rule in Rule::all() {
+            let mut cfg =
+                SimConfig::with_speeds(SpeedProfile::unit()).with_mutations(mutations.clone());
+            cfg.dispatch_rounding = rule.rounding();
+            let run = |asg: &mut dyn AssignmentPolicy| {
+                let out = Simulation::run(&inst, &Sjf::new(), asg, &mut NoProbe, &cfg).unwrap();
+                assert_eq!(out.unfinished, 0, "seed {seed} {rule:?}");
+                (out.assignments, out.completions)
+            };
+            let production = match rule {
+                Rule::Identical(mut g) => run(&mut g),
+                Rule::Unrelated(mut g) => run(&mut g),
+                Rule::LeastVolume => run(&mut LeastVolume),
+                Rule::MinEta => run(&mut MinEta),
+            };
+            let oracle = run(&mut OracleDispatch(rule));
+            assert_eq!(production, oracle, "seed {seed} {rule:?}");
+            let n_static = inst.tree().len() as u32;
+            on_appended += production
+                .0
+                .iter()
+                .flatten()
+                .filter(|v| v.0 >= n_static)
+                .count();
+        }
+    }
+    assert!(on_appended > 0, "no job ever landed on an appended leaf");
 }
