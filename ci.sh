@@ -14,6 +14,12 @@ cargo test -q --workspace
 cargo test -q --release -p bct-sim --test differential_queue
 cargo test -q --release -p bct-sim --test scratch_alloc
 
+# OPT lower-bound differential suite, run explicitly: the heap-driven
+# pooled SRPT and the shallowest-leaf η must return the bits of the
+# O(n²) / path-walk scans they replaced (`bounds::naive`,
+# `Instance::*_naive`), ties, leaf churn and origin jobs included.
+cargo test -q --release -p bct-lp --test bounds_differential
+
 # Dynamic-topology differential suite (PR-6 contract): random mutation
 # walks must keep the incrementally maintained path tables bit-equal
 # to a from-scratch rebuild, and the warm scratch path must stay off
@@ -147,6 +153,12 @@ assert 0 < d["p50_us"] <= d["p99_us"] <= d["p999_us"], (d["p50_us"], d["p99_us"]
 print(f"serve bench: p50 {d['p50_us']:.1f}us p99 {d['p99_us']:.1f}us p999 {d['p999_us']:.1f}us "
       f"({d['throughput_per_s']:.0f} decisions/s, {d['log_records']} journal records)")
 EOF
+
+# OPT lower bounds on an acceptance-shaped instance (1024-leaf fat
+# tree, 5k jobs): the bench asserts each near-linear bound returns its
+# scan's bits and is >=10x faster than it (a ratio, so host speed does
+# not matter), and writes target/BENCH_bounds.json.
+cargo bench -q -p bct-bench --bench bounds
 
 # Sweep-engine scaling: emits target/BENCH_sweep.json with a 4-thread
 # AND a 4-process (shared run dir, claim protocol) series; the bench

@@ -22,7 +22,7 @@ use bct_analysis::metrics::{FlowStats, LayerBreakdown};
 use bct_analysis::table::{num, Table};
 use bct_core::{render, Instance, SpeedProfile};
 use bct_harness::spec;
-use bct_lp::bounds::{bound_report, combined_bound};
+use bct_lp::bounds::bound_report;
 use bct_lp::model::{lp_lower_bound, LpGrid};
 use bct_workloads::jobs::{SizeDist, UnrelatedModel, WorkloadSpec};
 use opts::Opts;
@@ -538,7 +538,6 @@ fn cmd_bound(opts: &Opts) -> Result<(), String> {
         "any schedule's total flow is ≥ the combined bound; e.g. greedy at s=1: {:.3}",
         spec::parse_policy("sjf+greedy:0.5")?.total_flow(&inst, &SpeedProfile::unit())
     );
-    let _ = combined_bound(&inst, 1.0);
     Ok(())
 }
 

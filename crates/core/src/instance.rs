@@ -391,8 +391,36 @@ impl Instance {
     }
 
     /// The smallest possible flow time of job `j` at unit speeds:
-    /// `min_{v ∈ L} η` along its actual path.
+    /// `min_{v ∈ L} η` along its actual path. Bit-identical to
+    /// [`Instance::min_eta_naive`]; see
+    /// [`Instance::trivial_flow_lower_bound`] for when it avoids the path
+    /// walks.
     pub fn min_eta(&self, j: JobId) -> Time {
+        self.min_eta_with(j, self.shallowest_path_len())
+    }
+
+    /// Sum over jobs of [`Instance::min_eta`] — a crude but valid lower
+    /// bound on the optimal total flow time at unit speeds.
+    ///
+    /// Bit-identical to [`Instance::trivial_flow_lower_bound_naive`],
+    /// which walks every leaf's path for every job (`O(n·|L|·d)`). A
+    /// root-origin, identical-setting job's `η` at leaf `v` is the
+    /// left-to-right sum of `d_v` copies of `p_j`. Adding a positive
+    /// `p_j` never lowers a rounded sum, so `η` is monotone in `d_v` and
+    /// its minimum over the leaves is the sum at the shallowest live
+    /// leaf, found once per call: `O(|L| + n·d_min)`. Unrelated-setting
+    /// and origin jobs walk their paths ([`Instance::min_eta_naive`]).
+    pub fn trivial_flow_lower_bound(&self) -> Time {
+        let shallowest = self.shallowest_path_len();
+        (0..self.n() as u32)
+            .map(|j| self.min_eta_with(JobId(j), shallowest))
+            .sum()
+    }
+
+    /// Path-walking [`Instance::min_eta`], `O(|L|·d)`: the differential
+    /// oracle for the fast form, and its fallback for unrelated-setting
+    /// and origin jobs.
+    pub fn min_eta_naive(&self, j: JobId) -> Time {
         self.tree
             .leaves()
             .iter()
@@ -400,12 +428,31 @@ impl Instance {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Sum over jobs of [`Instance::min_eta`] — a crude but valid lower
-    /// bound on the optimal total flow time at unit speeds.
-    pub fn trivial_flow_lower_bound(&self) -> Time {
+    /// Path-walking [`Instance::trivial_flow_lower_bound`], `O(n·|L|·d)`:
+    /// the differential oracle for the fast form.
+    pub fn trivial_flow_lower_bound_naive(&self) -> Time {
         (0..self.n() as u32)
-            .map(|j| self.min_eta(JobId(j)))
+            .map(|j| self.min_eta_naive(JobId(j)))
             .sum()
+    }
+
+    /// Node count of the shortest live root→leaf path (`min_v d_v`), or
+    /// `None` for a leafless tree.
+    fn shallowest_path_len(&self) -> Option<usize> {
+        self.tree
+            .leaves()
+            .iter()
+            .map(|&v| self.tree.leaf_path(v).len())
+            .min()
+    }
+
+    /// [`Instance::min_eta`] given the shallowest path length.
+    fn min_eta_with(&self, j: JobId, shallowest: Option<usize>) -> Time {
+        let job = &self.jobs[j.as_usize()];
+        if job.origin.is_some() || job.is_unrelated() {
+            return self.min_eta_naive(j);
+        }
+        shallowest.map_or(f64::INFINITY, |d| std::iter::repeat_n(job.size, d).sum())
     }
 
     /// Total work volume released (router copies not counted): `Σ_j p_j`.
