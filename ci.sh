@@ -76,18 +76,14 @@ for w in 1 4 8; do
     diff specs/golden_sweep_dynamic.expected.jsonl "$golden_out"
 done
 
-# Batched golden sweep: replication groups routed through the batched
-# multi-cell runner (the default path) must reproduce the checked-in
-# JSONL byte for byte at every worker count, and --no-batch (the
-# per-cell escape hatch) must emit the same bytes.
+# Replication-heavy golden sweep: eight replications per grid point,
+# seeded random topologies included, must reproduce the checked-in
+# JSONL byte for byte at every worker count.
 for w in 1 4 8; do
     cargo run -q --release -p bct-cli -- sweep \
         --spec specs/golden_sweep_batch.json --workers "$w" --out "$golden_out" --quiet >/dev/null
     diff specs/golden_sweep_batch.expected.jsonl "$golden_out"
 done
-cargo run -q --release -p bct-cli -- sweep \
-    --spec specs/golden_sweep_batch.json --workers 2 --no-batch --out "$golden_out" --quiet >/dev/null
-diff specs/golden_sweep_batch.expected.jsonl "$golden_out"
 
 # Sharded sweep merge: the same golden grid split 0/2 + 1/2 by cell
 # index, concatenated and re-sorted by cell, must be byte-identical to
@@ -185,6 +181,20 @@ else:
     print(f"sweep scaling gate: merge verified; ratio waived on a {d['cores']}-core host ({line})")
 EOF
 
+# Event-queue microbenchmark: calendar/radix queue vs the binary-heap
+# oracle on the hold model; asserts identical pop order while timing
+# and emits target/BENCH_event_queue.json.
+cargo bench -q -p bct-bench --bench event_queue
+
+# Greedy dispatch on the 1024-leaf fat tree at sampled live states: the
+# bench asserts the aggregate-backed score loop is >=5x faster than the
+# scan oracle, and that the production `assign` (F once per entry node)
+# picks the score loop's leaf and is >=4x faster than it.
+cargo bench -q -p bct-bench --bench dispatch
+
+# Last on purpose: this is an absolute jobs/s floor, which a slow or
+# throttled host fails whatever the change, so every ratio and
+# byte-identity gate above runs before it.
 # Simulator-core throughput: emits target/BENCH_sim.json (jobs/s fresh
 # vs. scratch-reuse) and asserts the zero-allocation steady state
 # inside the bench itself. Fail loudly here if the JSON is missing or
@@ -199,38 +209,3 @@ print(f"sim bench: {rate} jobs/s with scratch (floor {floor:.0f}, PR-{base['reco
 if rate < floor:
     raise SystemExit(f"sim throughput regressed >10% vs the recorded PR-{base['recorded_pr']} baseline: {rate} < {floor:.0f}")
 EOF
-
-# Batched-runner throughput: emits target/BENCH_batch.json (batched vs
-# isolated vs warm per-cell at widths 1/4/8/16, outcomes cross-checked
-# lane-by-lane inside the bench) and gates the width-8 figures against
-# the recorded PR-8 baseline. Floors are loose (~10% run-to-run noise
-# on a 1-core host); the byte-identity contract is enforced by the
-# golden diffs above, this gate only catches throughput collapses.
-cargo bench -q -p bct-bench --bench batch_throughput
-python3 - <<'EOF'
-import json
-d = json.load(open("target/BENCH_batch.json"))
-base = json.load(open("specs/BENCH_batch_baseline.json"))
-w8 = d["widths"].index(8)
-rate = d["jobs_per_s_batched"][w8]
-checks = [
-    ("batched w8 jobs/s", rate, 0.80 * base["jobs_per_s_batched_w8"]),
-    ("speedup_w8 (batched/isolated)", d["speedup_w8"], 0.85 * base["speedup_w8"]),
-    ("parity_w8 (batched/warm)", d["parity_w8"], 0.85 * base["parity_w8"]),
-]
-for name, got, floor in checks:
-    print(f"batch bench: {name} = {got:.3f} (floor {floor:.3f}, PR-{base['recorded_pr']} baseline)")
-    if got < floor:
-        raise SystemExit(f"batched runner regressed vs the recorded PR-{base['recorded_pr']} baseline: {name} {got:.3f} < {floor:.3f}")
-EOF
-
-# Event-queue microbenchmark: calendar/radix queue vs the binary-heap
-# oracle on the hold model; asserts identical pop order while timing
-# and emits target/BENCH_event_queue.json.
-cargo bench -q -p bct-bench --bench event_queue
-
-# Greedy dispatch on the 1024-leaf fat tree at sampled live states: the
-# bench asserts the aggregate-backed score loop is >=5x faster than the
-# scan oracle, and that the production `assign` (F once per entry node)
-# picks the score loop's leaf and is >=4x faster than it.
-cargo bench -q -p bct-bench --bench dispatch

@@ -11,7 +11,6 @@ use bct_lp::model::{lp_lower_bound, LpGrid};
 use bct_sched::{run_general, GeneralConfig};
 use bct_workloads::jobs::{ArrivalProcess, SizeDist, UnrelatedModel, WorkloadSpec};
 use bct_workloads::topo;
-use rayon::prelude::*;
 
 fn total_flow(inst: &Instance, out: &bct_sim::SimOutcome) -> f64 {
     let releases: Vec<f64> = inst.jobs().iter().map(|j| j.release).collect();
@@ -34,7 +33,6 @@ pub fn e1_identical_competitive(scale: Scale) -> Table {
     for &eps in &[0.25f64, 0.5, 1.0] {
         // --- Small: LP-certified ---
         let ratios: Vec<f64> = (0..scale.seeds)
-            .into_par_iter()
             .map(|seed| {
                 let tree = topo::star(2, 2);
                 let spec = WorkloadSpec {
@@ -65,7 +63,6 @@ pub fn e1_identical_competitive(scale: Scale) -> Table {
 
         // --- Large: combinatorial bound ---
         let ratios: Vec<f64> = (0..scale.seeds)
-            .into_par_iter()
             .map(|seed| {
                 let tree = topo::fat_tree(3, 2, 2);
                 let spec = WorkloadSpec::poisson_identical(
@@ -103,7 +100,7 @@ pub fn e2_unrelated_speed_sweep(scale: Scale) -> Table {
         &["speed s", "mean flow (greedy)", "ratio vs bound", "max ratio"],
     );
     let cells: Vec<(f64, Vec<(f64, f64)>)> = [1.0f64, 1.5, 2.0, 2.5, 3.0]
-        .into_par_iter()
+        .into_iter()
         .map(|s| {
             let per_seed: Vec<(f64, f64)> = (0..scale.seeds)
                 .map(|seed| {
@@ -157,7 +154,6 @@ pub fn e6_broomstick_opt_gap(scale: Scale) -> Table {
     );
     for &eps in &[0.25f64, 0.5, 1.0] {
         let ratios: Vec<f64> = (0..scale.seeds)
-            .into_par_iter()
             .map(|seed| {
                 let mut rng = {
                     use rand::SeedableRng;
@@ -243,7 +239,7 @@ pub fn e10_policy_sweep(scale: Scale) -> Table {
         &headers,
     );
     let rows: Vec<Vec<String>> = combos
-        .par_iter()
+        .iter()
         .map(|(label, combo)| {
             let mut row = vec![label.clone()];
             for &s in &speeds {

@@ -14,7 +14,6 @@ use crate::table::{num, Table};
 use bct_core::SpeedProfile;
 use bct_workloads::jobs::{with_random_leaf_origins, SizeDist, WorkloadSpec};
 use bct_workloads::topo;
-use rayon::prelude::*;
 
 /// **E17 — arbitrary origins.** Mean flow time as the fraction of
 /// leaf-origin jobs grows, for locality-aware policies (greedy,
@@ -32,7 +31,7 @@ pub fn e17_arbitrary_origins(scale: Scale) -> Table {
     ];
     for &fraction in &[0.0f64, 0.5, 1.0] {
         let row_vals: Vec<f64> = combos
-            .par_iter()
+            .iter()
             .map(|&(_, assign)| {
                 let flows: Vec<f64> = (0..scale.seeds)
                     .map(|seed| {

@@ -85,8 +85,7 @@ fn usage() -> String {
      sweep        with --spec FILE: parallel sweep over a declarative grid\n               \
      (topologies × workloads × policies × speeds × replications) with\n               \
      [--workers N] [--out rows.jsonl] [--summary-out FILE] [--quiet]\n               \
-     [--shard i/N] [--no-batch: disable the batched multi-cell runner;\n               \
-     rows are byte-identical either way]; exits 3 if cells failed.\n               \
+     [--shard i/N]; exits 3 if cells failed.\n               \
      [--run-dir DIR]: durable resumable run — checksummed rows land in\n               \
      DIR as they finish; re-invoking the same spec resumes (skips\n               \
      checksum-valid cells, hard error on spec mismatch), and N\n               \
@@ -331,10 +330,7 @@ fn cmd_sweep_spec(opts: &Opts, path: &str) -> Result<(), String> {
             bct_harness::sweep::ProgressMode::Stderr
         },
         shard,
-        // Replication groups interleave through the batched runner by
-        // default; --no-batch is the per-cell escape hatch (and the
-        // oracle the smoke test diffs the batched output against).
-        batch: !opts.get_bool("no-batch"),
+        ..Default::default()
     };
     let out_path = opts.get("out", "sweep.jsonl");
     let file = std::fs::File::create(&out_path)
@@ -395,8 +391,7 @@ fn cmd_sweep_rundir(
         } else {
             bct_harness::sweep::ProgressMode::Stderr
         },
-        shard: None,
-        batch: !opts.get_bool("no-batch"),
+        ..Default::default()
     };
     let rd_opts = rundir_options(opts)?;
     let prev_hook = std::panic::take_hook();
@@ -449,9 +444,6 @@ fn cmd_sweep_procs(
             .arg(&child_out)
             .arg("--quiet")
             .stdout(std::process::Stdio::null());
-        if opts.get_bool("no-batch") {
-            cmd.arg("--no-batch");
-        }
         let child = cmd.spawn().map_err(|e| format!("spawning worker {i}: {e}"))?;
         children.push((i, child));
     }

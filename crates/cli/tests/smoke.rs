@@ -121,37 +121,6 @@ fn sweep_summary_out_writes_deterministic_json() {
 }
 
 #[test]
-fn sweep_no_batch_matches_batched_output_on_the_checked_in_golden() {
-    // --no-batch forces the per-cell path; the batched runner (the
-    // default) must emit the same bytes for the checked-in golden
-    // sweep, or the escape hatch would silently change results.
-    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/golden_sweep.json");
-    let batched = tmp("golden_batched.jsonl");
-    let unbatched = tmp("golden_unbatched.jsonl");
-    for (path, extra) in [(&batched, None), (&unbatched, Some("--no-batch"))] {
-        let mut args = vec![
-            "sweep", "--spec", spec, "--workers", "2", "--out",
-            path.to_str().unwrap(), "--quiet",
-        ];
-        args.extend(extra);
-        let out = bct(&args);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let a = std::fs::read_to_string(&batched).unwrap();
-    let b = std::fs::read_to_string(&unbatched).unwrap();
-    assert_eq!(a, b, "--no-batch changed the sorted JSONL");
-    assert!(!a.is_empty());
-    for path in [&batched, &unbatched] {
-        let _ = std::fs::remove_file(path);
-    }
-}
-
-#[test]
 fn sweep_with_failing_cells_exits_3() {
     let spec = write_spec(
         "chaos.json",

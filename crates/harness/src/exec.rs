@@ -86,36 +86,28 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run `f` under `catch_unwind` with the pool's bounded-retry rule:
-/// up to `1 + max_retries` attempts, identical inputs each time, the
-/// last error kept. Returns `(attempts consumed, terminal status)`.
-/// Public so callers that manage their own task granularity (the
-/// batched sweep path retries individual cells inside a pool-level
-/// group task) apply the exact same retry-and-panic semantics the pool
-/// applies to its own tasks.
-pub fn retrying<R>(
-    max_retries: u32,
-    mut f: impl FnMut() -> Result<R, String>,
-) -> (u32, TaskStatus<R>) {
-    let mut last_error = String::new();
-    for attempt in 1..=max_retries + 1 {
-        match catch_unwind(AssertUnwindSafe(&mut f)) {
-            Ok(Ok(r)) => return (attempt, TaskStatus::Done(r)),
-            Ok(Err(e)) => last_error = e,
-            Err(payload) => last_error = panic_message(payload),
-        }
-    }
-    (max_retries + 1, TaskStatus::Failed { error: last_error })
-}
-
+/// Run one task under `catch_unwind` with the pool's bounded-retry
+/// rule: up to `1 + max_retries` attempts, identical inputs each time,
+/// the last error kept.
 fn run_with_retry<T, R>(
     index: usize,
     task: &T,
     run: &(impl Fn(usize, &T) -> Result<R, String> + Sync),
     max_retries: u32,
 ) -> TaskResult<R> {
-    let (attempts, status) = retrying(max_retries, || run(index, task));
-    TaskResult { index, attempts, status }
+    let mut last_error = String::new();
+    for attempts in 1..=max_retries + 1 {
+        match catch_unwind(AssertUnwindSafe(|| run(index, task))) {
+            Ok(Ok(r)) => return TaskResult { index, attempts, status: TaskStatus::Done(r) },
+            Ok(Err(e)) => last_error = e,
+            Err(payload) => last_error = panic_message(payload),
+        }
+    }
+    TaskResult {
+        index,
+        attempts: max_retries + 1,
+        status: TaskStatus::Failed { error: last_error },
+    }
 }
 
 /// Run `run(i, &tasks[i])` for every task on a worker pool.

@@ -618,7 +618,7 @@ fn run_chunk(
     if !missing.is_empty() {
         let (mut writer, _gen) = ChunkWriter::create(dir, chunk, claim.gen().max(rec.max_gen + 1))?;
         let mut sink_error: Option<String> = None;
-        sweep::execute_tasks(&missing, spec.max_retries, opts.workers, opts.batch, |row| {
+        sweep::execute_tasks(&missing, spec.max_retries, opts.workers, |row| {
             if sink_error.is_none() {
                 match writer.write_row(row) {
                     Ok(()) => {

@@ -66,16 +66,6 @@ pub fn parse_topology(spec: &str, seed: u64) -> Result<Tree, String> {
     }
 }
 
-/// Whether a topology spec consumes the cell seed — i.e. whether two
-/// cells with the same spec string but different seeds can yield
-/// different trees. The batched sweep path parses seed-invariant
-/// topologies once per replication group and shares the parsed tree
-/// (path tables included) across every lane; seeded specs are parsed
-/// per cell inside the group instead.
-pub fn topology_is_seeded(spec: &str) -> bool {
-    split(spec).0 == "random"
-}
-
 /// Parse a size-distribution spec.
 pub fn parse_sizes(spec: &str) -> Result<SizeDist, String> {
     let (name, n) = split(spec);

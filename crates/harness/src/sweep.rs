@@ -14,23 +14,18 @@
 //! failing cell can be replayed from its row's `seed` alone.
 
 use crate::agg::StreamingAgg;
-use crate::exec::{self, ExecOptions, TaskStatus};
+use crate::exec::{self, ExecOptions, TaskResult, TaskStatus};
 use crate::sink::RowSink;
 use crate::spec;
 use bct_core::{Instance, NodeId, Tree, TreeMutation};
 use bct_lp::bounds::combined_bound;
-use bct_sim::engine::SimError;
 use bct_sim::policy::NoProbe;
-use bct_sim::{
-    run_batch, BatchCell, BatchScratch, SimConfig, SimOutcome, SimScratch, TopoMutation,
-    MAX_BATCH_WIDTH,
-};
-use bct_workloads::jobs::{SizeDist, WorkloadSpec};
+use bct_sim::{SimConfig, SimOutcome, SimScratch, TopoMutation};
+use bct_workloads::jobs::WorkloadSpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 fn default_load() -> f64 {
@@ -332,13 +327,6 @@ thread_local! {
     /// a poisoned cell's buffers are simply dropped with the thread's
     /// `RefCell` contents intact (scratch state never carries results).
     static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
-
-    /// The batched counterpart: one lane pool (plus the reused result
-    /// vector) per worker thread, warming across every replication
-    /// group the worker runs. Same panic story — lane scratches only
-    /// carry capacity.
-    static BATCH: RefCell<(BatchScratch, Vec<Result<SimOutcome, SimError>>)> =
-        RefCell::new((BatchScratch::new(), Vec::new()));
 }
 
 /// Salt folded into the cell seed for churn-schedule derivation, so the
@@ -440,9 +428,7 @@ pub fn run_cell(task: &CellTask) -> Result<CellMetrics, String> {
     Ok(metrics)
 }
 
-/// Measure one finished simulation into row metrics. Shared verbatim by
-/// the per-cell and batched paths, so a cell's metrics bytes cannot
-/// depend on which path ran it.
+/// Measure one finished simulation into row metrics.
 fn metrics_from(inst: &Instance, out: &SimOutcome) -> Result<CellMetrics, String> {
     if out.unfinished > 0 {
         return Err(format!("{} jobs unfinished at horizon", out.unfinished));
@@ -468,183 +454,9 @@ fn metrics_from(inst: &Instance, out: &SimOutcome) -> Result<CellMetrics, String
     })
 }
 
-/// Partition the (post-shard) task list into pool work units: maximal
-/// runs of consecutive cells that differ only by replication — same
-/// topology, workload, policy, and speed strings — capped at
-/// [`MAX_BATCH_WIDTH`] for pool granularity. Those are exactly the
-/// cells [`run_group`] may interleave through one [`BatchScratch`].
-/// Churn cells and everything else fall out as singleton groups (the
-/// per-cell path). Pure in `(tasks, batch)`, so the unit boundaries —
-/// and therefore every row — are identical at any worker count.
-fn batch_groups(tasks: &[CellTask], batch: bool) -> Vec<Range<usize>> {
-    let mut groups = Vec::new();
-    let mut i = 0;
-    while i < tasks.len() {
-        let mut j = i + 1;
-        // Churn cells always run per-cell: a mutation schedule evolves
-        // the cell's tree, so there is nothing shareable across lanes.
-        // (The engine itself batches dynamic lanes fine — the sim
-        // differential suite proves it — this fallback is a sweep-path
-        // policy choice, kept explicit and explicitly tested.)
-        if batch && tasks[i].workload.churn.is_none() {
-            while j < tasks.len() && j - i < MAX_BATCH_WIDTH && same_group(&tasks[i], &tasks[j]) {
-                j += 1;
-            }
-        }
-        groups.push(i..j);
-        i = j;
-    }
-    groups
-}
-
-/// The grouping key: every grid coordinate except the replication index
-/// (and hence the seed).
-fn same_group(a: &CellTask, b: &CellTask) -> bool {
-    a.topo == b.topo && a.workload == b.workload && a.policy == b.policy && a.speeds == b.speeds
-}
-
-/// One finished cell inside a group work unit: its index into the
-/// sweep's (post-shard) task list, attempts consumed, and the outcome.
-struct CellDone {
-    task_idx: usize,
-    attempts: u32,
-    outcome: Result<CellMetrics, String>,
-}
-
-/// Run one work unit. Groups of replication cells go through the
-/// batched runner first; any cell the batched attempt does not settle
-/// with a clean success — a lane error, unfinished jobs, or a panic
-/// anywhere in the batch — falls back to the per-cell path with the
-/// *full* retry budget, so failed rows (attempts included) are
-/// byte-identical to what an unbatched sweep records.
-fn run_group(tasks: &[CellTask], range: &Range<usize>, max_retries: u32) -> Vec<CellDone> {
-    let group = &tasks[range.clone()];
-    let mut done: Vec<Option<(u32, Result<CellMetrics, String>)>> = Vec::new();
-    done.resize_with(group.len(), || None);
-    if group.len() > 1 {
-        // `retrying(0, …)` is the pool's own catch_unwind wrapper: a
-        // panic inside the batched attempt (e.g. a fault-injection
-        // policy) abandons the whole attempt and every cell re-runs
-        // individually below, reproducing per-cell fault isolation.
-        let (_, attempt) = exec::retrying(0, || Ok(run_group_batched(group)));
-        if let TaskStatus::Done(results) = attempt {
-            for (slot, res) in done.iter_mut().zip(results) {
-                if let Some(m) = res {
-                    *slot = Some((1, Ok(m)));
-                }
-            }
-        }
-    }
-    group
-        .iter()
-        .zip(done.iter_mut())
-        .enumerate()
-        .map(|(i, (task, slot))| {
-            let (attempts, outcome) = match slot.take() {
-                Some(settled) => settled,
-                None => {
-                    let (attempts, status) = exec::retrying(max_retries, || run_cell(task));
-                    let outcome = match status {
-                        TaskStatus::Done(m) => Ok(m),
-                        TaskStatus::Failed { error } => Err(error),
-                    };
-                    (attempts, outcome)
-                }
-            };
-            CellDone { task_idx: range.start + i, attempts, outcome }
-        })
-        .collect()
-}
-
-/// Generate one cell's instance for the batched path — the same
-/// `(workload, tree, seed)` derivation [`run_cell`] uses.
-fn gen_instance(task: &CellTask, sizes: SizeDist, tree: &Tree) -> Option<Instance> {
-    WorkloadSpec::poisson_identical(task.workload.jobs, task.workload.load, sizes, tree)
-        .instance(tree, task.seed)
-        .ok()
-}
-
-/// The batched attempt for one replication group: parse the shared spec
-/// strings once, parse seed-invariant topologies once (every lane then
-/// clones one set of prebuilt path tables instead of re-deriving them),
-/// generate per-cell instances, and interleave the cells' event loops
-/// through the worker's warm [`BatchScratch`]. Returns per-cell metrics
-/// for cleanly successful cells; `None` marks a cell for the per-cell
-/// fallback. Never panics on bad specs — parse failures simply settle
-/// nothing, and the fallback reproduces the exact per-cell error.
-fn run_group_batched(group: &[CellTask]) -> Vec<Option<CellMetrics>> {
-    let k = group.len();
-    let mut settled: Vec<Option<CellMetrics>> = Vec::new();
-    settled.resize_with(k, || None);
-    let t0 = &group[0];
-    let (Ok(sizes), Ok(combo), Ok(speeds)) = (
-        spec::parse_sizes(&t0.workload.sizes),
-        spec::parse_policy(&t0.policy),
-        spec::parse_speeds(&t0.speeds),
-    ) else {
-        return settled;
-    };
-    let shared_tree = if spec::topology_is_seeded(&t0.topo) {
-        None
-    } else {
-        match spec::parse_topology(&t0.topo, t0.seed) {
-            Ok(t) => Some(t),
-            Err(_) => return settled,
-        }
-    };
-    let cfg = SimConfig::with_speeds(speeds);
-    let instances: Vec<Option<Instance>> = group
-        .iter()
-        .map(|task| match &shared_tree {
-            Some(tree) => gen_instance(task, sizes, tree),
-            None => spec::parse_topology(&task.topo, task.seed)
-                .ok()
-                .and_then(|tree| gen_instance(task, sizes, &tree)),
-        })
-        .collect();
-    // Fresh policy state per cell, exactly as `run_configured` builds it
-    // on the per-cell path.
-    let nodes: Vec<_> = (0..k).map(|_| combo.node.build()).collect();
-    let mut assigns: Vec<_> =
-        group.iter().map(|t| combo.assign.build(t.workload.capacity)).collect();
-    let mut probes: Vec<NoProbe> = (0..k).map(|_| NoProbe).collect();
-    let mut cells: Vec<BatchCell<'_>> = Vec::with_capacity(k);
-    let mut lane_cells: Vec<usize> = Vec::with_capacity(k);
-    for (i, ((inst, assign), probe)) in
-        instances.iter().zip(assigns.iter_mut()).zip(probes.iter_mut()).enumerate()
-    {
-        if let Some(inst) = inst {
-            cells.push(BatchCell {
-                instance: inst,
-                cfg: &cfg,
-                node_policy: nodes[i].as_ref(),
-                assignment: assign.as_mut(),
-                probe,
-            });
-            lane_cells.push(i);
-        }
-    }
-    if cells.is_empty() {
-        return settled;
-    }
-    BATCH.with(|b| {
-        let (scratch, out) = &mut *b.borrow_mut();
-        run_batch(scratch, &mut cells, out);
-        for (lane, res) in out.drain(..).enumerate() {
-            let ci = lane_cells[lane];
-            if let (Ok(outcome), Some(inst)) = (res, &instances[ci]) {
-                if let Ok(m) = metrics_from(inst, &outcome) {
-                    settled[ci] = Some(m);
-                }
-                scratch.recycle(lane, outcome);
-            }
-        }
-    });
-    settled
-}
-
-/// One task's row, assembled from its coordinates and outcome.
-fn make_row(task: &CellTask, attempts: u32, outcome: Result<CellMetrics, String>) -> SweepRow {
+/// One task's row, assembled from its coordinates and the pool's
+/// result for it.
+fn make_row(task: &CellTask, result: &TaskResult<CellMetrics>) -> SweepRow {
     SweepRow {
         cell: task.cell,
         topo: task.topo.clone(),
@@ -653,32 +465,11 @@ fn make_row(task: &CellTask, attempts: u32, outcome: Result<CellMetrics, String>
         speeds: task.speeds.clone(),
         replication: task.replication,
         seed: task.seed,
-        attempts,
-        outcome: match outcome {
-            Ok(m) => RowOutcome::Ok(m),
-            Err(e) => RowOutcome::Failed { panic_msg: e },
+        attempts: result.attempts,
+        outcome: match &result.status {
+            TaskStatus::Done(m) => RowOutcome::Ok(m.clone()),
+            TaskStatus::Failed { error } => RowOutcome::Failed { panic_msg: error.clone() },
         },
-    }
-}
-
-/// Rows of one finished group work unit, in cell order.
-fn group_rows(
-    tasks: &[CellTask],
-    groups: &[Range<usize>],
-    result: &exec::TaskResult<Vec<CellDone>>,
-) -> Vec<SweepRow> {
-    match &result.status {
-        TaskStatus::Done(cells) => cells
-            .iter()
-            .map(|c| make_row(&tasks[c.task_idx], c.attempts, c.outcome.clone()))
-            .collect(),
-        // Defensive only: `run_group` catches per-cell panics itself,
-        // so a group-level failure means the group runner's own plumbing
-        // panicked. Every cell in the unit carries the error.
-        TaskStatus::Failed { error } => groups[result.index]
-            .clone()
-            .map(|ti| make_row(&tasks[ti], result.attempts, Err(error.clone())))
-            .collect(),
     }
 }
 
@@ -706,10 +497,9 @@ pub struct SweepOptions {
     /// outputs from separate processes concatenate and sort into the
     /// byte-identical full JSONL.
     pub shard: Option<(usize, usize)>,
-    /// Interleave replication groups through the batched multi-cell
-    /// runner (the default). Rows are byte-identical either way — the
-    /// flag exists as an escape hatch (`bct sweep --no-batch`) and as
-    /// the differential oracle the batched path is diffed against.
+    /// Ignored: every cell runs as its own pool task. Kept only so
+    /// existing struct literals that set it still compile; it will be
+    /// removed.
     pub batch: bool,
 }
 
@@ -719,7 +509,7 @@ impl Default for SweepOptions {
             workers: exec::available_workers(),
             progress: ProgressMode::Silent,
             shard: None,
-            batch: true,
+            batch: false,
         }
     }
 }
@@ -782,41 +572,27 @@ fn progress_line(name: &str, done: usize, total: usize, failed: usize, started: 
     );
 }
 
-/// Execute an already-expanded task list on the pool: partition into
-/// batch groups, run, stream every finished row to `on_row` (in racy
-/// completion order), return the cell-sorted rows. The shared
-/// execution core of [`run_sweep`] and [`crate::rundir::run_sweep_dir`]
-/// — both paths produce rows through exactly this function, which is
-/// what makes their outputs byte-interchangeable.
+/// Execute an already-expanded task list on the pool, one task per
+/// cell: stream every finished row to `on_row` (in racy completion
+/// order) and return the rows in task order. The pool's bounded retry
+/// fills each row's `attempts`. The shared execution core of
+/// [`run_sweep`] and [`crate::rundir::run_sweep_dir`] — both paths
+/// produce rows through exactly this function, which is what makes
+/// their outputs byte-interchangeable.
 pub(crate) fn execute_tasks(
     tasks: &[CellTask],
     max_retries: u32,
     workers: usize,
-    batch: bool,
     mut on_row: impl FnMut(&SweepRow),
 ) -> Vec<SweepRow> {
-    // The pool's task unit is a *group* (a replication run, or a
-    // singleton); per-cell retry lives inside `run_group`, so the pool
-    // itself never retries.
-    let exec_opts = ExecOptions { workers, max_retries: 0 };
-    let groups = batch_groups(tasks, batch);
+    let exec_opts = ExecOptions { workers, max_retries };
     let results = exec::execute(
-        &groups,
+        tasks,
         &exec_opts,
-        |_, range| Ok(run_group(tasks, range, max_retries)),
-        |result| {
-            for row in group_rows(tasks, &groups, result) {
-                on_row(&row);
-            }
-        },
+        |_, task| run_cell(task),
+        |result| on_row(&make_row(&tasks[result.index], result)),
     );
-    // Rebuild rows index-sorted from the pool's sorted results (groups
-    // are index-ordered runs, so flattening is already cell-sorted; the
-    // sort is a cheap belt-and-braces).
-    let mut rows: Vec<SweepRow> =
-        results.iter().flat_map(|result| group_rows(tasks, &groups, result)).collect();
-    rows.sort_by_key(|r| r.cell);
-    rows
+    results.iter().map(|result| make_row(&tasks[result.index], result)).collect()
 }
 
 /// Execute a sweep: expand, run on the pool, stream rows to `sink` and
@@ -848,7 +624,7 @@ pub fn run_sweep(
     let mut sink_error: Option<String> = None;
     let mut done = 0usize;
     let mut failed = 0usize;
-    let rows = execute_tasks(&tasks, spec.max_retries, opts.workers, opts.batch, |row| {
+    let rows = execute_tasks(&tasks, spec.max_retries, opts.workers, |row| {
         if matches!(row.outcome, RowOutcome::Failed { .. }) {
             failed += 1;
         }

@@ -23,18 +23,43 @@ fn grid_spec() -> SweepSpec {
     .unwrap()
 }
 
+/// Replication-heavy grid: eight replications of every grid point,
+/// including the seeded `random:6,4` topology, whose tree differs
+/// from cell to cell within one grid point.
+fn replicated_spec() -> SweepSpec {
+    SweepSpec::from_json(
+        r#"{
+            "name": "replicated-grid",
+            "root_seed": 77,
+            "replications": 8,
+            "topologies": ["star:3,2", "random:6,4"],
+            "workloads": [{"jobs": 14}],
+            "policies": ["sjf+greedy:0.5", "srpt+least-volume"],
+            "speeds": ["uniform:1.5"]
+        }"#,
+    )
+    .unwrap()
+}
+
 #[test]
 fn sorted_jsonl_is_byte_identical_across_worker_counts() {
-    let spec = grid_spec();
-    assert_eq!(spec.num_cells(), 16);
-    let run = |workers: usize| {
-        let opts = SweepOptions { workers, progress: ProgressMode::Silent, ..Default::default() };
-        run_sweep(&spec, &opts, &mut NullSink).unwrap().sorted_jsonl()
-    };
-    let serial = run(1);
-    assert_eq!(serial.lines().count(), 16);
-    for workers in [4, 8] {
-        assert_eq!(run(workers), serial, "worker count {workers} changed the output");
+    for (spec, cells) in [(grid_spec(), 16), (replicated_spec(), 32)] {
+        assert_eq!(spec.num_cells(), cells);
+        let run = |workers: usize| {
+            let opts =
+                SweepOptions { workers, progress: ProgressMode::Silent, ..Default::default() };
+            run_sweep(&spec, &opts, &mut NullSink).unwrap().sorted_jsonl()
+        };
+        let serial = run(1);
+        assert_eq!(serial.lines().count(), cells);
+        for workers in [4, 8] {
+            assert_eq!(
+                run(workers),
+                serial,
+                "{}: worker count {workers} changed the output",
+                spec.name
+            );
+        }
     }
 }
 
@@ -117,64 +142,6 @@ fn warm_scratch_rows_match_fresh_buffer_runs() {
             );
         }
     }
-}
-
-fn batched_spec(extra: &str) -> SweepSpec {
-    // replications: 8 makes every (topo, workload, policy, speeds)
-    // group eight cells wide, so the batched runner actually
-    // interleaves lanes instead of degenerating to singletons.
-    SweepSpec::from_json(&format!(
-        r#"{{
-            "name": "batch-differential",
-            "root_seed": 77,
-            "replications": 8,
-            "topologies": ["star:3,2", "random:6,4"],
-            "workloads": [{{"jobs": 14}}{extra}],
-            "policies": ["sjf+greedy:0.5", "srpt+least-volume"],
-            "speeds": ["uniform:1.5"]
-        }}"#,
-    ))
-    .unwrap()
-}
-
-#[test]
-fn batched_sweep_rows_match_per_cell_rows_byte_for_byte() {
-    // The tentpole guarantee: routing replication groups through
-    // `run_batch` changes wall-clock, never bytes. Compare against the
-    // per-cell oracle (`batch: false`) at several worker counts, so
-    // group formation is also proven worker-invariant.
-    let spec = batched_spec("");
-    assert_eq!(spec.num_cells(), 32);
-    let run = |workers: usize, batch: bool| {
-        let opts =
-            SweepOptions { workers, batch, progress: ProgressMode::Silent, ..Default::default() };
-        run_sweep(&spec, &opts, &mut NullSink).unwrap().sorted_jsonl()
-    };
-    let oracle = run(1, false);
-    assert_eq!(oracle.lines().count(), 32);
-    for workers in [1, 4, 8] {
-        assert_eq!(
-            run(workers, true),
-            oracle,
-            "batched sweep at {workers} workers diverged from per-cell rows"
-        );
-    }
-}
-
-#[test]
-fn churn_cells_fall_back_to_the_per_cell_path() {
-    // Cells with topology churn mutate their tree mid-run, so they are
-    // excluded from replication groups and run per-cell. The rows must
-    // be identical whether batching is enabled or not — i.e. the
-    // fallback is exact, not merely approximate.
-    let spec = batched_spec(r#", {"jobs": 12, "load": 0.6, "churn": {"events": 5}}"#);
-    assert_eq!(spec.num_cells(), 64);
-    let run = |batch: bool| {
-        let opts =
-            SweepOptions { workers: 4, batch, progress: ProgressMode::Silent, ..Default::default() };
-        run_sweep(&spec, &opts, &mut NullSink).unwrap().sorted_jsonl()
-    };
-    assert_eq!(run(true), run(false), "churn fallback changed row bytes");
 }
 
 #[test]

@@ -135,12 +135,6 @@ mod tests {
         let sim = policy_for("crates/sim/src/engine.rs");
         assert!(sim.d1 && sim.d2 && sim.d3 && sim.p1);
 
-        // The batched multi-cell runner carries the sim crate's full
-        // contract — deterministic (d1–d3) and panic-audited — like the
-        // engine whose lanes it drives.
-        let batch = policy_for("crates/sim/src/batch.rs");
-        assert!(batch.d1 && batch.d2 && batch.d3 && batch.p1);
-
         let cli = policy_for("crates/cli/src/opts.rs");
         assert!(!cli.d1 && !cli.d2 && cli.d3 && !cli.p1);
 

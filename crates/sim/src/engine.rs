@@ -250,7 +250,7 @@ impl Simulation {
     /// current job changed since it was scheduled), otherwise finish
     /// the hop, forward or complete the job, and let the node pull its
     /// next waiting job. Returns the job whose hop finished, `None` on
-    /// a stale event. Shared by the batch run loop above and the online
+    /// a stale event. Shared by [`RunLane::step`] and the online
     /// session's event drain.
     // bct-lint: no_alloc
     #[allow(clippy::too_many_arguments)]
@@ -515,13 +515,10 @@ impl Simulation {
 
 /// One resumable event loop: the state a single run threads through its
 /// `loop { … }` body, reified so the loop can be driven one event at a
-/// time. [`Simulation::run_with_scratch`] drives one lane to completion;
-/// [`crate::batch::run_batch`] round-robins a step across many lanes,
-/// interleaving several independent cells' event loops on one core.
-/// Each lane owns its cell's entire mutable state (job table, event
-/// queue, aggregates), so the interleaving order cannot affect any
-/// lane's outputs — batched runs are byte-identical to solo runs by
-/// construction, and the differential suite checks it anyway.
+/// time. [`Simulation::run_with_scratch`] drives a lane to completion:
+/// [`RunLane::start`] takes the scratch's buffers, [`RunLane::step`]
+/// processes one event, and [`RunLane::finish`] (or [`RunLane::abort`]
+/// after an error) hands every buffer back.
 pub(crate) struct RunLane<'a> {
     instance: &'a Instance,
     st: SimState<'a>,

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod agg;
-pub mod batch;
 pub mod engine;
 pub mod evq;
 pub mod gantt;
@@ -49,7 +48,6 @@ pub mod state;
 pub mod trace;
 
 pub use agg::AggLayout;
-pub use batch::{run_batch, run_batch_with_burst, BatchCell, BatchScratch, MAX_BATCH_WIDTH};
 pub use engine::{SimConfig, Simulation, TopoMutation};
 pub use evq::{EventQueue, EventQueueKind};
 pub use outcome::{HopFinishes, SimOutcome};

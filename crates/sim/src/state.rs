@@ -316,7 +316,6 @@ impl<'a> SimState<'a> {
             q.clear();
         }
         while q_members.len() < m {
-            // bct-lint: allow(a2) -- cold lane start only; warm runs reuse scratch capacity
             q_members.push(Vec::new());
         }
         let mut aggs = mem::take(&mut scratch.aggs);
@@ -329,7 +328,6 @@ impl<'a> SimState<'a> {
                     t.clone_from(instance.tree());
                     t
                 }
-                // bct-lint: allow(a2) -- first dynamic run on a cold lane; warm runs clone_from above
                 None => instance.tree().clone(),
             })
         } else {

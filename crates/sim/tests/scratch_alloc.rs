@@ -10,9 +10,8 @@
 //! an aggregate-driven greedy run (covers the flat aggregate layout's
 //! in-place block rebuilds on every admit/materialize/remove), a
 //! dynamic-topology run (mutations may allocate, the intervals between
-//! them may not), and the batched runner (a warm `BatchScratch` must
-//! hold every 8-wide `run_batch` call at zero bytes, batch after
-//! batch).
+//! them may not), and a run after a failed one (an errored run must
+//! hand every buffer back, so the scratch stays warm).
 //!
 //! This lives in its own integration binary with exactly one `#[test]`
 //! so the counting global allocator sees no interference from parallel
@@ -20,10 +19,11 @@
 
 use bct_core::tree::TreeBuilder;
 use bct_core::{Instance, Job, JobId, NodeId, TreeMutation};
+use bct_sim::engine::SimError;
 use bct_sim::policy::{NoProbe, Probe};
 use bct_sim::{
-    run_batch, AssignmentPolicy, BatchCell, BatchScratch, KeyCtx, NodePolicy, PolicyKey,
-    SimConfig, SimScratch, SimView, Simulation, StatefulPolicy, TopoMutation,
+    AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimScratch, SimView, Simulation,
+    StatefulPolicy, TopoMutation,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -334,54 +334,36 @@ fn second_scratch_run_allocates_nothing_and_matches_fresh() {
         "dynamic: warm scratch run diverged from fresh buffers"
     );
 
-    // Batched runner: one `BatchScratch` warmed by batch 0, then ten
-    // consecutive 8-wide batches, each allocating zero bytes inside
-    // `run_batch` itself (cell assembly and outcome checks happen
-    // outside the measured region, like the solo phases above) and
-    // every lane byte-identical to the fresh solo run.
-    let fresh = Simulation::run(
-        &inst,
-        &Sjf,
-        &mut RoundRobin { leaves: leaves(&inst), next: 0 },
-        &mut NoProbe,
-        &cfg,
-    )
-    .unwrap();
+    // A failed run keeps the scratch warm: a run that exceeds its
+    // one-event budget must hand every buffer back, so the next run on
+    // the same scratch allocates nothing and matches fresh buffers.
+    let mk = || RoundRobin { leaves: leaves(&inst), next: 0 };
+    let fresh = Simulation::run(&inst, &Sjf, &mut mk(), &mut NoProbe, &cfg).unwrap();
     let fresh_json = serde_json::to_string(&fresh).unwrap();
-    let mut batch_scratch = BatchScratch::new();
-    let mut batch_out = Vec::new();
-    for batch in 0..11u32 {
-        let mut assigns: Vec<RoundRobin> =
-            (0..8).map(|_| RoundRobin { leaves: leaves(&inst), next: 0 }).collect();
-        let mut probes: Vec<NoProbe> = (0..8).map(|_| NoProbe).collect();
-        let mut cells: Vec<_> = assigns
-            .iter_mut()
-            .zip(probes.iter_mut())
-            .map(|(assignment, probe)| BatchCell {
-                instance: &inst,
-                cfg: &cfg,
-                node_policy: &Sjf,
-                assignment,
-                probe,
-            })
-            .collect();
-        let before = ALLOCATED.load(Ordering::SeqCst);
-        run_batch(&mut batch_scratch, &mut cells, &mut batch_out);
-        let allocated = ALLOCATED.load(Ordering::SeqCst) - before;
-        if batch > 0 {
-            assert_eq!(
-                allocated, 0,
-                "batched: warm batch {batch} allocated {allocated} bytes"
-            );
-        }
-        for (lane, result) in batch_out.drain(..).enumerate() {
-            let outcome = result.expect("batched lane succeeds");
-            assert_eq!(
-                serde_json::to_string(&outcome).unwrap(),
-                fresh_json,
-                "batched: lane {lane} of batch {batch} diverged from fresh buffers"
-            );
-            batch_scratch.recycle(lane, outcome);
-        }
-    }
+    let mut scratch = SimScratch::new();
+    let warm =
+        Simulation::run_with_scratch(&mut scratch, &inst, &Sjf, &mut mk(), &mut NoProbe, &cfg)
+            .unwrap();
+    scratch.recycle(warm);
+    let mut starved = cfg.clone();
+    starved.max_events = 1;
+    let err =
+        Simulation::run_with_scratch(&mut scratch, &inst, &Sjf, &mut mk(), &mut NoProbe, &starved)
+            .unwrap_err();
+    assert!(matches!(err, SimError::EventBudgetExceeded(1)), "{err}");
+    let mut policy = mk();
+    let before = ALLOCATED.load(Ordering::SeqCst);
+    let after_error =
+        Simulation::run_with_scratch(&mut scratch, &inst, &Sjf, &mut policy, &mut NoProbe, &cfg)
+            .unwrap();
+    let allocated = ALLOCATED.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocated, 0,
+        "after an error: run on the same scratch allocated {allocated} bytes"
+    );
+    assert_eq!(
+        serde_json::to_string(&after_error).unwrap(),
+        fresh_json,
+        "after an error: run on the same scratch diverged from fresh buffers"
+    );
 }
