@@ -14,6 +14,17 @@ cargo test -q --workspace
 cargo test -q --release -p bct-sim --test differential_queue
 cargo test -q --release -p bct-sim --test scratch_alloc
 
+# Session oracles, run explicitly: offline runs and serve sessions
+# share one event loop (`RunLane`), so a break in it must fail here by
+# name. First the session unit tests, then the session-vs-offline-run
+# property on random trees, sizes, loads and mutation schedules, then
+# the serve-side replay and zero-allocation contracts.
+cargo test -q --release -p bct-sim --lib session::tests -- \
+    --skip session_matches_offline_run_on_random_inputs
+cargo test -q --release -p bct-sim --lib session::tests::session_matches_offline_run_on_random_inputs
+cargo test -q --release -p bct-serve --test replay_determinism
+cargo test -q --release -p bct-serve --test serve_alloc
+
 # OPT lower-bound differential suite, run explicitly: the heap-driven
 # pooled SRPT and the shallowest-leaf η must return the bits of the
 # O(n²) / path-walk scans they replaced (`bounds::naive`,
@@ -140,6 +151,11 @@ cargo run -q --release -p bct-cli -- serve --bench \
     --topo star:8,8 --policy sjf+greedy:0.5 --jobs 10000 --load 0.7 \
     --log target/serve_bench.log --out target/BENCH_serve.json
 cargo run -q --release -p bct-cli -- replay --log target/serve_bench.log
+
+# Serve journal golden: `cargo test` (golden_serve.rs) regenerates this
+# journal byte for byte; the CLI must also verify every hash probe in
+# it.
+cargo run -q --release -p bct-cli -- replay --log specs/golden_serve.log
 python3 - <<'EOF'
 import json
 d = json.load(open("target/BENCH_serve.json"))

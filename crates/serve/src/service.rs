@@ -16,7 +16,7 @@ use bct_core::{Fnv64, Time};
 use bct_harness::spec;
 use bct_sim::policy::{NodePolicy, StatefulPolicy};
 use bct_sim::engine::SimError;
-use bct_sim::{SessionConfig, SessionError, SimSession};
+use bct_sim::{SessionError, SimSession};
 use serde::{Deserialize, Serialize};
 
 use crate::log::LogWriter;
@@ -52,7 +52,7 @@ impl ServeConfig {
         let tree = spec::parse_topology(&self.topo, self.topo_seed)?;
         let combo = spec::parse_policy(&self.policy)?;
         let speeds = spec::parse_speeds(&self.speeds)?;
-        let session = SimSession::new(tree, SessionConfig::new(speeds))
+        let session = SimSession::new(tree, speeds)
             .map_err(|e| format!("session: {e}"))?;
         Ok((session, combo.node.build(), combo.assign.build(self.capacity)))
     }
@@ -155,7 +155,7 @@ impl<W: Write> Service<W> {
     // bct-lint: no_alloc
     pub fn state_hash(&mut self) -> u64 {
         let mut h = Fnv64::new();
-        h.write_u64(self.session.state_hash());
+        h.write_u64(SimSession::state_hash(&mut self.session));
         h.write_u64(self.assignment.state_digest());
         h.finish()
     }
@@ -189,6 +189,12 @@ impl<W: Write> Service<W> {
     /// journaled); the outer `Err` is reserved for journal I/O
     /// failures, which must stop the service rather than silently
     /// desync the log.
+    ///
+    /// The session is called by path (`SimSession::submit(&mut …)`):
+    /// `submit`, `tick` and `state_hash` are also `net::Client` and
+    /// `Service` methods, and bct-lint resolves a method call only by a
+    /// workspace-unique name, so a `.submit(..)` call would hide the
+    /// whole decision path from rules a2 and p2.
     // bct-lint: no_alloc
     pub fn apply(&mut self, cmd: &Command) -> Result<Reply, String> {
         if self.shutdown {
@@ -196,7 +202,8 @@ impl<W: Write> Service<W> {
         }
         match *cmd {
             Command::Submit { release, size } => {
-                match self.session.submit(
+                match SimSession::submit(
+                    &mut self.session,
                     release,
                     size,
                     self.node_policy.as_ref(),
@@ -215,7 +222,8 @@ impl<W: Write> Service<W> {
                 }
             }
             Command::Mutate(m) => {
-                match self.session.mutate(
+                match SimSession::mutate(
+                    &mut self.session,
                     m,
                     self.node_policy.as_ref(),
                     self.assignment.as_mut(),
@@ -233,7 +241,8 @@ impl<W: Write> Service<W> {
                 }
             }
             Command::Tick { t } => {
-                match self.session.tick(
+                match SimSession::tick(
+                    &mut self.session,
                     t,
                     self.node_policy.as_ref(),
                     self.assignment.as_mut(),

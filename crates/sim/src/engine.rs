@@ -232,60 +232,15 @@ impl Simulation {
         // Queue aggregates only answer view queries; skip maintaining
         // them when nobody in this run will ask.
         let track_aggs = assignment.needs_aggregates() || probe.needs_aggregates();
-        let mut lane = RunLane::start(scratch, instance, track_aggs, cfg)?;
-        loop {
-            match lane.step(node_policy, assignment, probe, cfg) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    lane.abort(scratch);
-                    return Err(e);
-                }
+        let dynamic = !cfg.mutations.is_empty();
+        let mut lane = RunLane::start(scratch, instance, track_aggs, dynamic, cfg)?;
+        match lane.run_until(cfg.horizon, node_policy, assignment, probe, cfg) {
+            Ok(()) => Ok(lane.finish(scratch)),
+            Err(e) => {
+                lane.abort(scratch);
+                Err(e)
             }
         }
-        Ok(lane.finish(scratch, cfg))
-    }
-
-    /// Process one popped finish event: skip it if stale (the node's
-    /// current job changed since it was scheduled), otherwise finish
-    /// the hop, forward or complete the job, and let the node pull its
-    /// next waiting job. Returns the job whose hop finished, `None` on
-    /// a stale event. Shared by [`RunLane::step`] and the online
-    /// session's event drain.
-    // bct-lint: no_alloc
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_finish<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized>(
-        st: &mut SimState<'_>,
-        node: NodeId,
-        version: u64,
-        node_policy: &N,
-        assignment: &mut A,
-        trace: &mut Option<Trace>,
-        evq: &mut EventQueue,
-    ) -> Option<JobId> {
-        if st.node_version(node) != version {
-            return None;
-        }
-        let t = st.view().now();
-        let job = st.finish_current_hop(node);
-        if let Some(tr) = trace.as_mut() {
-            tr.push(t, node, job, TraceKind::FinishHop);
-            if st.view().completion(job).is_some() {
-                tr.push(t, node, job, TraceKind::Complete);
-            }
-        }
-        if st.view().completion(job).is_none() {
-            match st.view().current_node_of(job) {
-                Some(next) => Self::offer(st, next, job, node_policy, trace, evq),
-                None => debug_assert!(false, "unfinished job must be in flight"),
-            }
-        } else {
-            assignment.on_complete(&st.view(), job, node);
-        }
-        if st.pick_next(node) {
-            Self::schedule_current(st, node, trace, evq);
-        }
-        Some(job)
     }
 
     /// Check a mutation schedule against the engine's dynamic-topology
@@ -326,108 +281,10 @@ impl Simulation {
         Ok(())
     }
 
-    /// Apply one topology mutation at the current time: drain every
-    /// in-flight job whose leaf disappears (deterministically, in job-id
-    /// order), mutate the owned tree, grow the node tables for added
-    /// ids, let freed survivors pick new work, then redispatch the
-    /// drained jobs through the assignment policy.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn apply_topo<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized>(
-        st: &mut SimState<'_>,
-        change: TreeMutation,
-        node_policy: &N,
-        assignment: &mut A,
-        trace: &mut Option<Trace>,
-        evq: &mut EventQueue,
-        speeds: &SpeedProfile,
-        drained: &mut Vec<(JobId, NodeId)>,
-        freed: &mut Vec<NodeId>,
-        doomed: &mut Vec<NodeId>,
-    ) -> Result<(), SimError> {
-        let now = st.view().now();
-        // 1. Which nodes disappear, and which in-flight jobs lose their
-        //    leaf? (Computed before mutating — the subtree walk needs
-        //    the pre-mutation children lists.)
-        doomed.clear();
-        match change {
-            TreeMutation::RemoveLeaf { leaf } => doomed.push(leaf),
-            TreeMutation::FailNode { node } => st.tree().subtree_into(node, doomed),
-            TreeMutation::AddLeaf { .. } | TreeMutation::SetSpeed { .. } => {}
-        }
-        st.affected_jobs_into(doomed, drained);
-        // 2. Drain them, remembering which live nodes lost their
-        //    current job.
-        freed.clear();
-        for &(j, old_leaf) in drained.iter() {
-            if let Some(v) = st.drain_job(j) {
-                freed.push(v);
-                // The node genuinely stopped processing; record it so
-                // the trace's mutual-exclusion story stays closed.
-                if let Some(tr) = trace.as_mut() {
-                    tr.push(now, v, j, TraceKind::Preempt);
-                }
-            }
-            assignment.on_drain(&st.view(), j, old_leaf);
-        }
-        // 3. Mutate the owned tree (incremental path-table recompute
-        //    lives in bct-core). A failed mutation aborts the run.
-        let receipt = {
-            // bct-lint: allow(p1) -- invariant: apply_topo is only reachable when cfg.mutations is non-empty, which makes from_scratch install topo
-            let t = st.topo.as_mut().expect("topo events require a dynamic run");
-            t.queue_mutation(change);
-            t.apply_mutations()
-        }
-        .map_err(SimError::BadMutation)?;
-        // 4. Cover added node ids: effective speeds (profile × factor),
-        //    node states, queue memberships, aggregates.
-        for &v in &receipt.added {
-            debug_assert_eq!(st.speeds.len(), v.as_usize(), "added ids are dense");
-            let s = speeds.speed_of(st.tree(), v);
-            st.speeds.push(s);
-        }
-        st.grow_for_added();
-        // 5. A speed change reprices the node's in-flight job: stale
-        //    finish event out (version bump), fresh prediction in. No
-        //    Start/Preempt trace — the job never stopped.
-        if let TreeMutation::SetSpeed { node, .. } = change {
-            let s = speeds.speed_of(st.tree(), node);
-            if st.apply_speed_change(node, s) {
-                // bct-lint: allow(p1) -- invariant: apply_speed_change returns true iff the node has a current job, which predicted_finish requires
-                let t_fin = st.predicted_finish(node).expect("current implies a finish");
-                evq.push(t_fin.max(now), node, st.node_version(node));
-            }
-        }
-        // 6. Surviving nodes that lost their current job to the drain
-        //    pull the next waiting job, in id order.
-        freed.sort_unstable();
-        for &v in freed.iter() {
-            if st.tree().is_alive(v) && st.view().current_job(v).is_none() && st.pick_next(v) {
-                Self::schedule_current(st, v, trace, evq);
-            }
-        }
-        // 7. Tell the policy about the new epoch, then redispatch the
-        //    drained jobs in id order. Each restarts from the root on
-        //    its new path; partially processed work is forfeited.
-        assignment.on_topo(&st.view());
-        for &(j, _) in drained.iter() {
-            let leaf = assignment.assign(&st.view(), j);
-            if !st.tree().is_leaf(leaf) {
-                return Err(SimError::AssignmentNotALeaf { job: j, node: leaf });
-            }
-            st.readmit(j, leaf);
-            if let Some(tr) = trace.as_mut() {
-                tr.push(now, leaf, j, TraceKind::Redispatch);
-            }
-            let first = st.view().path(j)[0];
-            Self::offer(st, first, j, node_policy, trace, evq);
-        }
-        Ok(())
-    }
-
     /// Offer `job` to `node`; if the node's current job changed,
     /// trace the preemption/start and (re-)schedule the finish event.
     // bct-lint: no_alloc
-    pub(crate) fn offer<N: NodePolicy + ?Sized>(
+    fn offer<N: NodePolicy + ?Sized>(
         st: &mut SimState<'_>,
         node: NodeId,
         job: JobId,
@@ -447,7 +304,7 @@ impl Simulation {
 
     /// Trace the start of `node`'s current job and push its finish event.
     // bct-lint: no_alloc
-    pub(crate) fn schedule_current(
+    fn schedule_current(
         st: &mut SimState<'_>,
         node: NodeId,
         trace: &mut Option<Trace>,
@@ -513,12 +370,32 @@ impl Simulation {
     }
 }
 
-/// One resumable event loop: the state a single run threads through its
-/// `loop { … }` body, reified so the loop can be driven one event at a
-/// time. [`Simulation::run_with_scratch`] drives a lane to completion:
-/// [`RunLane::start`] takes the scratch's buffers, [`RunLane::step`]
-/// processes one event, and [`RunLane::finish`] (or [`RunLane::abort`]
-/// after an error) hands every buffer back.
+/// What a suspended [`RunLane`] keeps outside the pooled buffers it
+/// hands back to [`SimScratch`]: the clock, the objective accumulators,
+/// the job counters, the arrival cursor and the event count.
+/// [`RunLane::suspend`] saves them, [`RunLane::resume`] restores them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SuspendedLane {
+    pub now: Time,
+    frac_sum: f64,
+    frac_rate: f64,
+    pub frac_integral: f64,
+    pub count_integral: f64,
+    pub unfinished: usize,
+    pub completed: usize,
+    next_arrival: usize,
+    events: u64,
+}
+
+/// The engine's one event loop: the state a run threads through its
+/// events, reified so the loop can stop at any time and go on later.
+/// [`RunLane::start`] takes the scratch's buffers and
+/// [`RunLane::run_until`] processes every event up to a time, one
+/// [`RunLane::step`] at a time. [`Simulation::run_with_scratch`] runs
+/// a lane to its horizon, then [`RunLane::finish`] (or
+/// [`RunLane::abort`] after an error) hands every buffer back. A
+/// [`crate::SimSession`] instead [`RunLane::suspend`]s its lane between
+/// commands and [`RunLane::resume`]s it for the next one.
 pub(crate) struct RunLane<'a> {
     instance: &'a Instance,
     st: SimState<'a>,
@@ -537,14 +414,15 @@ pub(crate) struct RunLane<'a> {
 
 impl<'a> RunLane<'a> {
     /// Validate the configuration and set up the lane's state from the
-    /// scratch's pooled buffers. On error the scratch is left intact.
+    /// scratch's pooled buffers. `dynamic` lanes own a mutable copy of
+    /// the instance's tree. On error the scratch is left intact.
     pub(crate) fn start(
         scratch: &mut SimScratch,
         instance: &'a Instance,
         track_aggs: bool,
+        dynamic: bool,
         cfg: &SimConfig,
     ) -> Result<RunLane<'a>, SimError> {
-        let dynamic = !cfg.mutations.is_empty();
         if dynamic {
             Simulation::validate_dynamic(instance, cfg)?;
         }
@@ -584,14 +462,207 @@ impl<'a> RunLane<'a> {
         })
     }
 
-    /// Process the next event (hop completion, arrival, or topology
-    /// mutation). Returns `Ok(true)` if an event was processed,
-    /// `Ok(false)` when the lane is done (no pending work, or the
-    /// horizon cut the rest off). After an `Err` the lane must be
-    /// retired with [`RunLane::abort`].
+    /// Re-animate a suspended dynamic lane over `instance`: take the
+    /// buffers back out of `scratch` *without* resetting them, grow the
+    /// job table for jobs appended to the instance since the suspend,
+    /// and restore the scalars. The live topology is taken from
+    /// `scratch.topo` as-is, never re-cloned from the instance, whose
+    /// tree is frozen at the epoch the lane started. Suspended lanes
+    /// record no trace.
     // bct-lint: no_alloc
-    pub(crate) fn step<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
+    pub(crate) fn resume(
+        scratch: &mut SimScratch,
+        instance: &'a Instance,
+        track_aggs: bool,
+        cfg: &SimConfig,
+        saved: &SuspendedLane,
+    ) -> RunLane<'a> {
+        let mut jobs = mem::take(&mut scratch.jobs);
+        for job in &instance.jobs()[jobs.len()..] {
+            jobs.push_job(job);
+        }
+        let topo = scratch.topo.take();
+        debug_assert!(topo.is_some(), "a suspended lane always owns its topology");
+        let st = SimState {
+            instance,
+            topo,
+            speeds: mem::take(&mut scratch.speeds),
+            now: saved.now,
+            nodes: mem::take(&mut scratch.nodes),
+            jobs,
+            q_members: mem::take(&mut scratch.q_members),
+            aggs: mem::take(&mut scratch.aggs),
+            rounding: cfg.dispatch_rounding,
+            track_aggs,
+            identical: instance.setting() == Setting::Identical,
+            frac_sum: saved.frac_sum,
+            frac_rate: saved.frac_rate,
+            frac_integral: saved.frac_integral,
+            count_integral: saved.count_integral,
+            unfinished: saved.unfinished,
+            completed: saved.completed,
+        };
+        RunLane {
+            instance,
+            st,
+            evq: mem::take(&mut scratch.evq),
+            trace: None,
+            next_arrival: saved.next_arrival,
+            events: saved.events,
+            drained: mem::take(&mut scratch.drained),
+            freed: mem::take(&mut scratch.freed),
+            doomed: mem::take(&mut scratch.doomed),
+        }
+    }
+
+    /// Suspend the lane: save its scalars for [`RunLane::resume`] and
+    /// hand every buffer back to `scratch` untouched.
+    // bct-lint: no_alloc
+    pub(crate) fn suspend(self, scratch: &mut SimScratch) -> SuspendedLane {
+        let st = &self.st;
+        let saved = SuspendedLane {
+            now: st.now,
+            frac_sum: st.frac_sum,
+            frac_rate: st.frac_rate,
+            frac_integral: st.frac_integral,
+            count_integral: st.count_integral,
+            unfinished: st.unfinished,
+            completed: st.completed,
+            next_arrival: self.next_arrival,
+            events: self.events,
+        };
+        self.abort(scratch);
+        saved
+    }
+
+    /// The lane's live state, read-only.
+    pub(crate) fn state(&self) -> &SimState<'a> {
+        &self.st
+    }
+
+    /// Process every event at or before `until` (every event, if
+    /// `None`), then advance the clock to `until`, integrating the
+    /// objectives over the idle tail. After an `Err` an offline run's
+    /// lane must be retired with [`RunLane::abort`].
+    // bct-lint: no_alloc
+    pub(crate) fn run_until<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
         &mut self,
+        until: Option<Time>,
+        node_policy: &N,
+        assignment: &mut A,
+        probe: &mut P,
+        cfg: &SimConfig,
+    ) -> Result<(), SimError> {
+        while self.step(until, node_policy, assignment, probe, cfg)? {}
+        if let Some(h) = until {
+            if self.st.view().now() < h {
+                self.st.advance(h);
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply one topology mutation at the current time: drain every
+    /// in-flight job whose leaf disappears (deterministically, in job-id
+    /// order), mutate the owned tree, grow the node tables for added
+    /// ids, let freed survivors pick new work, then redispatch the
+    /// drained jobs through the assignment policy.
+    pub(crate) fn apply_mutation<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized>(
+        &mut self,
+        change: TreeMutation,
+        node_policy: &N,
+        assignment: &mut A,
+        cfg: &SimConfig,
+    ) -> Result<(), SimError> {
+        let RunLane { st, trace, evq, drained, freed, doomed, .. } = self;
+        let speeds = &cfg.speeds;
+        let now = st.view().now();
+        // 1. Which nodes disappear, and which in-flight jobs lose their
+        //    leaf? (Computed before mutating — the subtree walk needs
+        //    the pre-mutation children lists.)
+        doomed.clear();
+        match change {
+            TreeMutation::RemoveLeaf { leaf } => doomed.push(leaf),
+            TreeMutation::FailNode { node } => st.tree().subtree_into(node, doomed),
+            TreeMutation::AddLeaf { .. } | TreeMutation::SetSpeed { .. } => {}
+        }
+        st.affected_jobs_into(doomed, drained);
+        // 2. Drain them, remembering which live nodes lost their
+        //    current job.
+        freed.clear();
+        for &(j, old_leaf) in drained.iter() {
+            if let Some(v) = st.drain_job(j) {
+                freed.push(v);
+                // The node genuinely stopped processing; record it so
+                // the trace's mutual-exclusion story stays closed.
+                if let Some(tr) = trace.as_mut() {
+                    tr.push(now, v, j, TraceKind::Preempt);
+                }
+            }
+            assignment.on_drain(&st.view(), j, old_leaf);
+        }
+        // 3. Mutate the owned tree (incremental path-table recompute
+        //    lives in bct-core). A failed mutation aborts the run.
+        let receipt = {
+            // bct-lint: allow(p1) -- invariant: mutations reach only dynamic lanes (a mutation schedule or a session), whose from_scratch installs topo
+            let t = st.topo.as_mut().expect("topo events require a dynamic run");
+            t.queue_mutation(change);
+            t.apply_mutations()
+        }
+        .map_err(SimError::BadMutation)?;
+        // 4. Cover added node ids: effective speeds (profile × factor),
+        //    node states, queue memberships, aggregates.
+        for &v in &receipt.added {
+            debug_assert_eq!(st.speeds.len(), v.as_usize(), "added ids are dense");
+            let s = speeds.speed_of(st.tree(), v);
+            st.speeds.push(s);
+        }
+        st.grow_for_added();
+        // 5. A speed change reprices the node's in-flight job: stale
+        //    finish event out (version bump), fresh prediction in. No
+        //    Start/Preempt trace — the job never stopped.
+        if let TreeMutation::SetSpeed { node, .. } = change {
+            let s = speeds.speed_of(st.tree(), node);
+            if st.apply_speed_change(node, s) {
+                // bct-lint: allow(p1) -- invariant: apply_speed_change returns true iff the node has a current job, which predicted_finish requires
+                let t_fin = st.predicted_finish(node).expect("current implies a finish");
+                evq.push(t_fin.max(now), node, st.node_version(node));
+            }
+        }
+        // 6. Surviving nodes that lost their current job to the drain
+        //    pull the next waiting job, in id order.
+        freed.sort_unstable();
+        for &v in freed.iter() {
+            if st.tree().is_alive(v) && st.view().current_job(v).is_none() && st.pick_next(v) {
+                Simulation::schedule_current(st, v, trace, evq);
+            }
+        }
+        // 7. Tell the policy about the new epoch, then redispatch the
+        //    drained jobs in id order. Each restarts from the root on
+        //    its new path; partially processed work is forfeited.
+        assignment.on_topo(&st.view());
+        for &(j, _) in drained.iter() {
+            let leaf = assignment.assign(&st.view(), j);
+            if !st.tree().is_leaf(leaf) {
+                return Err(SimError::AssignmentNotALeaf { job: j, node: leaf });
+            }
+            st.readmit(j, leaf);
+            if let Some(tr) = trace.as_mut() {
+                tr.push(now, leaf, j, TraceKind::Redispatch);
+            }
+            let first = st.view().path(j)[0];
+            Simulation::offer(st, first, j, node_policy, trace, evq);
+        }
+        Ok(())
+    }
+
+    /// Process the next event (hop completion, arrival, or topology
+    /// mutation) if it falls at or before `until`. Returns `Ok(true)` if
+    /// an event was processed, `Ok(false)` when none is left by then.
+    // bct-lint: no_alloc
+    fn step<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
+        &mut self,
+        until: Option<Time>,
         node_policy: &N,
         assignment: &mut A,
         probe: &mut P,
@@ -609,7 +680,7 @@ impl<'a> RunLane<'a> {
             (Some(ft), Some(at)) if ft <= at => (true, ft),
             (Some(_), Some(at)) => (false, at),
         };
-        if cfg.horizon.is_some_and(|h| t > h) {
+        if until.is_some_and(|h| t > h) {
             return Ok(false);
         }
         self.events += 1;
@@ -627,31 +698,12 @@ impl<'a> RunLane<'a> {
                 // schedule index. Must be checked before the
                 // node_version lookup — the sentinel id is out of
                 // bounds for the node tables.
-                let tm = &cfg.mutations[version as usize];
-                Simulation::apply_topo(
-                    &mut self.st,
-                    tm.change,
-                    node_policy,
-                    assignment,
-                    &mut self.trace,
-                    &mut self.evq,
-                    &cfg.speeds,
-                    &mut self.drained,
-                    &mut self.freed,
-                    &mut self.doomed,
-                )?;
+                let change = cfg.mutations[version as usize].change;
+                self.apply_mutation(change, node_policy, assignment, cfg)?;
                 probe.on_event(&self.st.view());
                 return Ok(true);
             }
-            match Simulation::handle_finish(
-                &mut self.st,
-                node,
-                version,
-                node_policy,
-                assignment,
-                &mut self.trace,
-                &mut self.evq,
-            ) {
+            match self.handle_finish(node, version, node_policy, assignment) {
                 // Stale: the node's job changed since scheduling. (No
                 // `on_event` either — the solo loop `continue`d here.)
                 None => return Ok(true),
@@ -676,16 +728,48 @@ impl<'a> RunLane<'a> {
         Ok(true)
     }
 
-    /// Close out a finished lane: account integrals up to the horizon
-    /// even if the last event was earlier (or later events were cut
-    /// off), assemble the outcome, and hand every buffer back to
-    /// `scratch`.
-    pub(crate) fn finish(mut self, scratch: &mut SimScratch, cfg: &SimConfig) -> SimOutcome {
-        if let Some(h) = cfg.horizon {
-            if self.st.view().now() < h {
-                self.st.advance(h);
+    /// Process one popped finish event: skip it if stale (the node's
+    /// current job changed since it was scheduled), otherwise finish
+    /// the hop, forward or complete the job, and let the node pull its
+    /// next waiting job. Returns the job whose hop finished, `None` on
+    /// a stale event.
+    // bct-lint: no_alloc
+    fn handle_finish<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized>(
+        &mut self,
+        node: NodeId,
+        version: u64,
+        node_policy: &N,
+        assignment: &mut A,
+    ) -> Option<JobId> {
+        let RunLane { st, trace, evq, .. } = self;
+        if st.node_version(node) != version {
+            return None;
+        }
+        let t = st.view().now();
+        let job = st.finish_current_hop(node);
+        if let Some(tr) = trace.as_mut() {
+            tr.push(t, node, job, TraceKind::FinishHop);
+            if st.view().completion(job).is_some() {
+                tr.push(t, node, job, TraceKind::Complete);
             }
         }
+        if st.view().completion(job).is_none() {
+            match st.view().current_node_of(job) {
+                Some(next) => Simulation::offer(st, next, job, node_policy, trace, evq),
+                None => debug_assert!(false, "unfinished job must be in flight"),
+            }
+        } else {
+            assignment.on_complete(&st.view(), job, node);
+        }
+        if st.pick_next(node) {
+            Simulation::schedule_current(st, node, trace, evq);
+        }
+        Some(job)
+    }
+
+    /// Close out a finished lane: assemble the outcome and hand every
+    /// buffer back to `scratch`.
+    pub(crate) fn finish(self, scratch: &mut SimScratch) -> SimOutcome {
         scratch.drained = self.drained;
         scratch.freed = self.freed;
         scratch.doomed = self.doomed;

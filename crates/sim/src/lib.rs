@@ -52,7 +52,7 @@ pub use engine::{SimConfig, Simulation, TopoMutation};
 pub use evq::{EventQueue, EventQueueKind};
 pub use outcome::{HopFinishes, SimOutcome};
 pub use scratch::SimScratch;
-pub use session::{SessionConfig, SessionError, SimSession};
+pub use session::{SessionError, SimSession};
 pub use policy::{AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, Probe, StatefulPolicy};
 pub use state::SimView;
 pub use trace::{Trace, TraceEvent, TraceKind};

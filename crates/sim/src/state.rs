@@ -116,8 +116,8 @@ impl JobTable {
 
     /// Append one fresh row for an online-ingested job — the same
     /// defaults [`JobTable::reset`] gives every row, without touching
-    /// the existing rows. The session layer calls this as jobs are
-    /// pushed onto the instance between suspend/resume cycles.
+    /// the existing rows. `RunLane::resume` calls this for the jobs a
+    /// session pushed onto its instance since the last suspend.
     // bct-lint: no_alloc
     pub(crate) fn push_job(&mut self, job: &Job) {
         self.leaf.push(UNASSIGNED);
@@ -208,21 +208,6 @@ impl NodeState {
     }
 }
 
-/// The scalar accumulators a suspended session carries between
-/// commands — everything [`SimState`] holds that does not live in a
-/// pooled buffer. [`SimState::suspend_into`] saves them,
-/// [`SimState::resume`] restores them.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SavedScalars {
-    pub now: Time,
-    pub frac_sum: f64,
-    pub frac_rate: f64,
-    pub frac_integral: f64,
-    pub count_integral: f64,
-    pub unfinished: usize,
-    pub completed: usize,
-}
-
 /// The complete mutable simulation state.
 pub struct SimState<'a> {
     pub(crate) instance: &'a Instance,
@@ -249,10 +234,10 @@ pub struct SimState<'a> {
     /// [`SimView`]'s range queries, so when neither the assignment
     /// policy nor the probe declares a need for them, every treap
     /// update is skipped — outputs are bit-identical either way.
-    track_aggs: bool,
+    pub(crate) track_aggs: bool,
     /// Identical-node setting: `p_{j,v} = p_j` everywhere, so the size
     /// column answers every requirement lookup.
-    identical: bool,
+    pub(crate) identical: bool,
     // --- exact objective accounting ---
     pub(crate) frac_sum: f64,
     pub(crate) frac_rate: f64,
@@ -366,69 +351,6 @@ impl<'a> SimState<'a> {
         if self.topo.is_some() {
             scratch.topo = self.topo;
         }
-    }
-
-    /// Re-animate a suspended session state: take the buffers back out
-    /// of `scratch` *without* resetting them, grow the job table for any
-    /// jobs appended to the instance since the last suspend, and restore
-    /// the scalar accumulators. The inverse of [`SimState::suspend_into`],
-    /// and the session counterpart of [`SimState::from_scratch`] (which
-    /// resets everything for a fresh batch run).
-    ///
-    /// The live topology is taken from `scratch.topo` as-is — never
-    /// re-cloned from the instance, whose tree is frozen at the epoch the
-    /// session started.
-    // bct-lint: no_alloc
-    pub(crate) fn resume(
-        instance: &'a Instance,
-        rounding: Option<ClassRounding>,
-        track_aggs: bool,
-        scratch: &mut SimScratch,
-        saved: &SavedScalars,
-    ) -> SimState<'a> {
-        let mut jobs = mem::take(&mut scratch.jobs);
-        for job in &instance.jobs()[jobs.len()..] {
-            jobs.push_job(job);
-        }
-        let topo = scratch.topo.take();
-        debug_assert!(topo.is_some(), "a session state always owns its topology");
-        SimState {
-            instance,
-            topo,
-            speeds: mem::take(&mut scratch.speeds),
-            now: saved.now,
-            nodes: mem::take(&mut scratch.nodes),
-            jobs,
-            q_members: mem::take(&mut scratch.q_members),
-            aggs: mem::take(&mut scratch.aggs),
-            rounding,
-            track_aggs,
-            identical: instance.setting() == Setting::Identical,
-            frac_sum: saved.frac_sum,
-            frac_rate: saved.frac_rate,
-            frac_integral: saved.frac_integral,
-            count_integral: saved.count_integral,
-            unfinished: saved.unfinished,
-            completed: saved.completed,
-        }
-    }
-
-    /// Suspend a session state between commands: hand the buffers back
-    /// to `scratch` untouched and return the scalar accumulators that
-    /// the buffers don't carry, for the next [`SimState::resume`].
-    // bct-lint: no_alloc
-    pub(crate) fn suspend_into(self, scratch: &mut SimScratch) -> SavedScalars {
-        let saved = SavedScalars {
-            now: self.now,
-            frac_sum: self.frac_sum,
-            frac_rate: self.frac_rate,
-            frac_integral: self.frac_integral,
-            count_integral: self.count_integral,
-            unfinished: self.unfinished,
-            completed: self.completed,
-        };
-        self.release_into(scratch);
-        saved
     }
 
     /// Deterministic FNV-1a digest over the complete semantic state:
