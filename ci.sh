@@ -7,11 +7,13 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q --workspace
 
-# Differential event-queue/aggregate suite, run explicitly (it is part
-# of the workspace suite above, but this PR-5 contract — calendar queue
-# and flat aggregates bit-identical to the heap/treap oracle — must
-# fail loudly on its own line).
-cargo test -q --release -p bct-sim --test differential_queue
+# Event-queue and aggregate unit tests, run explicitly (they are part
+# of the workspace suite above, but must fail loudly on their own
+# lines): the queue's (t, seq) pop order, and the flat aggregate layout
+# against a brute-force mirror, bit for bit on dyadic sizes. Then the
+# warm-scratch zero-allocation contract.
+cargo test -q --release -p bct-sim --lib evq::tests
+cargo test -q --release -p bct-sim --lib agg::tests
 cargo test -q --release -p bct-sim --test scratch_alloc
 
 # Session oracles, run explicitly: offline runs and serve sessions
@@ -196,11 +198,6 @@ if d["cores"] >= 4:
 else:
     print(f"sweep scaling gate: merge verified; ratio waived on a {d['cores']}-core host ({line})")
 EOF
-
-# Event-queue microbenchmark: calendar/radix queue vs the binary-heap
-# oracle on the hold model; asserts identical pop order while timing
-# and emits target/BENCH_event_queue.json.
-cargo bench -q -p bct-bench --bench event_queue
 
 # Greedy dispatch on the 1024-leaf fat tree at sampled live states: the
 # bench asserts the aggregate-backed score loop is >=5x faster than the

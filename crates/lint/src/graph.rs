@@ -26,6 +26,11 @@
 //!   routinely comes from another crate, so crate-local uniqueness is
 //!   not evidence of the target.
 //!
+//! In every tier, a caller outside test code never resolves to a
+//! test-only fn (`#[test]` or inside a `#[cfg(test)]` item): that fn is
+//! not compiled into the caller's build, so it is not a candidate and
+//! cannot make a production name ambiguous. Test callers see both.
+//!
 //! A call that resolves to nothing produces **no edge**: the
 //! reachability rules (a2/p2/d4) err toward missing a chain rather than
 //! inventing one, because a false transitive finding would force a
@@ -239,11 +244,6 @@ impl GraphBuilder {
                 }
             }
         }
-        let unique = |v: Option<&Vec<usize>>| match v {
-            Some(v) if v.len() == 1 => Some(v[0]),
-            _ => None,
-        };
-
         let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
         let mut ni = 0usize;
         for fe in &self.files {
@@ -251,6 +251,7 @@ impl GraphBuilder {
                 let caller = ni;
                 ni += 1;
                 let n = &nodes[caller];
+                let unique = |v: Option<&Vec<usize>>| unique_candidate(v, n.is_test, &nodes);
                 for call in &f.calls {
                     // Expand a leading import alias, then resolve.
                     let target = expand_alias(&call.target, &fe.imports);
@@ -278,6 +279,7 @@ impl GraphBuilder {
                             &crate_free,
                             &crate_type_meth,
                             &ws_type_meth,
+                            unique,
                         ),
                     };
                     if let Some(callee) = callee {
@@ -312,6 +314,16 @@ impl GraphBuilder {
     }
 }
 
+/// The one candidate in `v` a caller can reach, if exactly one: a
+/// non-test caller (`caller_test == false`) does not see test-only fns.
+fn unique_candidate(v: Option<&Vec<usize>>, caller_test: bool, nodes: &[FnNode]) -> Option<usize> {
+    let mut seen = v?.iter().copied().filter(|&c| caller_test || !nodes[c].is_test);
+    match (seen.next(), seen.next()) {
+        (Some(c), None) => Some(c),
+        _ => None,
+    }
+}
+
 /// Replace a leading `use`-alias segment with its full path.
 fn expand_alias(target: &CallTarget, imports: &[(String, Vec<String>)]) -> CallTarget {
     let expand = |head: &str, rest: &[String]| -> Option<CallTarget> {
@@ -338,11 +350,8 @@ fn resolve_path(
     crate_free: &BTreeMap<(&str, &str), Vec<usize>>,
     crate_type_meth: &BTreeMap<(&str, &str, &str), Vec<usize>>,
     ws_type_meth: &BTreeMap<(&str, &str), Vec<usize>>,
+    unique: impl Fn(Option<&Vec<usize>>) -> Option<usize>,
 ) -> Option<usize> {
-    let unique = |v: Option<&Vec<usize>>| match v {
-        Some(v) if v.len() == 1 => Some(v[0]),
-        _ => None,
-    };
     let mut segs = segs;
     let mut krate: Option<&str> = None;
     match segs.first().map(|s| s.as_str()) {
@@ -668,6 +677,30 @@ mod tests {
         assert_eq!(
             edge_ids(&g),
             [("sim::b::go".to_string(), "sim::b::B::refresh".to_string())]
+        );
+    }
+
+    #[test]
+    fn test_only_fns_are_no_candidates_outside_tests() {
+        let files = [
+            ("crates/sim/src/a.rs", "struct A; impl A { fn refresh(&self) {} }"),
+            (
+                "crates/sim/src/b.rs",
+                "struct B; #[cfg(test)] impl B { fn refresh(&self) {} }",
+            ),
+            (
+                "crates/sim/src/c.rs",
+                "fn tick(x: &A) { x.refresh(); }
+                 #[test] fn t(x: &A) { x.refresh(); }",
+            ),
+        ];
+        let g = graph_of(&files);
+        // `tick` is not test code, so the cfg(test) `B::refresh` is not
+        // compiled into its build: `A::refresh` is its one candidate.
+        // The test fn sees both, so its call stays ambiguous.
+        assert_eq!(
+            edge_ids(&g),
+            [("sim::c::tick".to_string(), "sim::a::A::refresh".to_string())]
         );
     }
 

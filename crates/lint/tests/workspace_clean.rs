@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use bct_lint::{check_workspace, render_text};
+use bct_lint::{check_workspace, render_text, Graph};
 
 #[test]
 fn workspace_has_zero_violations() {
@@ -23,23 +23,9 @@ fn workspace_has_zero_violations() {
     assert!(rep.allows_used >= 40, "only {} allows used", rep.allows_used);
 }
 
-/// The serve decision path is inside the graph: a2 and p2 check every
-/// fn reachable from the `no_alloc` entry `Service::apply`, so that
-/// set must include the engine loop the session runs on. Method calls
-/// resolve only by a workspace-unique name (`submit`, `tick` and
-/// `state_hash` are not), which is why `Service::apply` calls the
-/// session by path.
-#[test]
-fn serve_apply_reaches_the_engine_loop() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let g = check_workspace(&root).expect("workspace scan").graph;
-    let idx = |id: &str| {
-        g.nodes
-            .iter()
-            .position(|n| n.id == id)
-            .unwrap_or_else(|| panic!("no node {id}"))
-    };
-    let (from, to) = (idx("serve::service::Service::apply"), idx("sim::engine::RunLane::step"));
+/// Every fn reachable from `from` along the graph's edges.
+fn reach(g: &Graph, from: &str) -> Vec<bool> {
+    let from = idx(g, from);
     let mut seen = vec![false; g.nodes.len()];
     let mut stack = vec![from];
     seen[from] = true;
@@ -51,9 +37,48 @@ fn serve_apply_reaches_the_engine_loop() {
             }
         }
     }
+    seen
+}
+
+fn idx(g: &Graph, id: &str) -> usize {
+    g.nodes
+        .iter()
+        .position(|n| n.id == id)
+        .unwrap_or_else(|| panic!("no node {id}"))
+}
+
+fn workspace_graph() -> Graph {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    check_workspace(&root).expect("workspace scan").graph
+}
+
+/// The serve decision path is inside the graph: a2 and p2 check every
+/// fn reachable from the `no_alloc` entry `Service::apply`, so that
+/// set must include the engine loop the session runs on. Method calls
+/// resolve only by a workspace-unique name (`submit`, `tick` and
+/// `state_hash` are not), which is why `Service::apply` calls the
+/// session by path.
+#[test]
+fn serve_apply_reaches_the_engine_loop() {
+    let g = workspace_graph();
+    let seen = reach(&g, "serve::service::Service::apply");
     let reached = seen.iter().filter(|&&s| s).count();
     assert!(
-        seen[to],
+        seen[idx(&g, "sim::engine::RunLane::step")],
         "Service::apply reaches {reached} fns, not RunLane::step"
     );
+}
+
+/// The engine loop's two hot structures are inside the graph too, so
+/// a2 and p2 check the event queue and the queue aggregates. `push`,
+/// `pop`, `insert` and `remove` are std method names the resolver
+/// never follows, which is why the engine calls them by path.
+#[test]
+fn engine_step_reaches_the_event_queue_and_aggregates() {
+    let g = workspace_graph();
+    let seen = reach(&g, "sim::engine::RunLane::step");
+    let reached = seen.iter().filter(|&&s| s).count();
+    for target in ["sim::evq::EventQueue::push", "sim::agg::FlatAggregates::insert"] {
+        assert!(seen[idx(&g, target)], "RunLane::step reaches {reached} fns, not {target}");
+    }
 }

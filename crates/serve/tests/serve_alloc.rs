@@ -5,7 +5,7 @@
 //! global allocator at all.
 //!
 //! The warm phase submits the first quarter of the workload so every
-//! buffer (job columns, calendar buckets, node heaps, queue-membership
+//! buffer (job columns, the event heap, node heaps, queue-membership
 //! lists, the journal's encode scratch, `BufWriter`'s block) reaches
 //! its steady-state footprint; the measured phase then drives the
 //! remaining commands and asserts zero allocated bytes.

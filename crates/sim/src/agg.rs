@@ -10,45 +10,23 @@
 //! * `S`-volume: sum of `rem` over keys strictly before the job's key;
 //! * larger-count / larger-fraction: the suffix at `eff > p_j`.
 //!
-//! Two layouts implement the same contract behind [`AggStore`]:
-//!
-//! * [`AggLayout::Flat`] (default) — per node, three parallel sorted
-//!   arrays plus fixed-width block summaries ([`BLOCK`] entries per
-//!   block). Inserts/removals are a binary search plus a memmove and a
-//!   suffix of block recomputations; point updates recompute one
-//!   block; queries sum whole-block summaries plus a partial block of
-//!   entries, always left-to-right. Block boundaries — and therefore
-//!   the float summation order — are a function of the *current*
-//!   contents only, never of operation history.
-//! * [`AggLayout::Treap`] — the original order-statistic treap (arena,
-//!   `u32` links, free list, deterministic xorshift priorities), kept
-//!   as the oracle the flat layout's property tests and the engine's
-//!   differential suite compare against.
+//! [`FlatAggregates`] keeps, per node, three parallel sorted arrays plus
+//! fixed-width block summaries ([`BLOCK`] entries per block).
+//! Inserts/removals are a binary search plus a memmove and a suffix of
+//! block recomputations; point updates recompute one block; queries sum
+//! whole-block summaries plus a partial block of entries, always left to
+//! right. Block boundaries — and therefore the float summation order —
+//! are a function of the *current* contents only, never of operation
+//! history, so a warm rerun answers every query with a fresh run's bits.
 //!
 //! Stored remainders are *as of the node's last materialization*; the
 //! one continuously-draining job per node (its `current`) is corrected
 //! at query time by [`crate::state::SimState`], which knows its live
-//! remainder. Both layouts are pooled in [`crate::SimScratch`], so
-//! per-node queues cost no allocations after warm-up.
+//! remainder. The layout is pooled in [`crate::SimScratch`], so per-node
+//! queues cost no allocations after warm-up.
 
 use bct_core::Time;
 use std::cmp::Ordering;
-
-/// Which per-node aggregate layout a run maintains (see the module
-/// docs). Query results may differ in final float bits between layouts
-/// on non-dyadic sizes (different summation order); on dyadic sizes
-/// they are bit-identical, which is what the differential suites pin.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AggLayout {
-    /// Flattened sorted-run layout with block summaries (default).
-    #[default]
-    Flat,
-    /// The randomized treap, kept as the differential oracle.
-    Treap,
-}
-
-/// Sentinel for "no child" / "empty tree".
-const NIL: u32 = u32::MAX;
 
 /// SJF priority key of a queued job at a node, ascending = served
 /// earlier: effective size (class index when rounding is configured,
@@ -110,390 +88,12 @@ impl AggSums {
         self.sum_frac += other.sum_frac;
     }
 
-    #[inline]
-    fn add_entry(&mut self, e: &Entry) {
-        self.add_raw(e.rem, e.p);
-    }
-
     /// Fold one `(rem, p)` entry into the sums.
     #[inline]
     fn add_raw(&mut self, rem: f64, p: f64) {
         self.cnt += 1;
         self.sum_rem += rem;
         self.sum_frac += rem / p;
-    }
-}
-
-#[derive(Clone, Debug)]
-struct Entry {
-    key: QueueKey,
-    prio: u64,
-    left: u32,
-    right: u32,
-    /// Remaining work of this job at this node (stored value).
-    rem: f64,
-    /// Full requirement `p_{j,v}`, for the fractional remainder.
-    p: f64,
-    /// Subtree aggregates (including this entry).
-    sums: AggSums,
-}
-
-/// Seed of the deterministic priority stream; reset to this on every
-/// [`QueueAggregates::reset`] so reused scratch produces bit-identical
-/// treap shapes to a fresh simulation.
-const PRIO_SEED: u64 = 0x853C_49E6_748F_EA9B;
-
-/// One treap per tree node, all sharing an arena.
-#[derive(Debug, Default)]
-pub(crate) struct QueueAggregates {
-    entries: Vec<Entry>,
-    free: Vec<u32>,
-    roots: Vec<u32>,
-    rng: u64,
-    /// Scratch stacks for the iterative treap walks (descent path /
-    /// merge path); cleared per operation, capacity reused.
-    path: Vec<u32>,
-    path2: Vec<u32>,
-}
-
-impl QueueAggregates {
-    /// Fresh aggregates over `num_nodes` queues (test convenience;
-    /// production code resets a pooled instance).
-    #[cfg(test)]
-    pub fn new(num_nodes: usize) -> QueueAggregates {
-        let mut agg = QueueAggregates::default();
-        agg.reset(num_nodes);
-        agg
-    }
-
-    /// Clear all queues and re-seed the priority stream, keeping every
-    /// buffer's capacity. A reset aggregate is indistinguishable from a
-    /// freshly constructed one — including treap shapes, which depend on
-    /// the priority stream position.
-    pub fn reset(&mut self, num_nodes: usize) {
-        self.entries.clear();
-        self.free.clear();
-        self.roots.clear();
-        self.roots.resize(num_nodes, NIL);
-        self.rng = PRIO_SEED;
-    }
-
-    /// Extend to `num_nodes` queues without touching existing ones
-    /// (mid-run topology growth).
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
-        if self.roots.len() < num_nodes {
-            self.roots.resize(num_nodes, NIL);
-        }
-    }
-
-    /// Pre-size the shared arena for `total` simultaneously-live
-    /// entries (one per job per hop), so steady-state inserts recycle
-    /// free-list slots or land in reserved capacity.
-    pub fn reserve(&mut self, total: usize) {
-        self.entries.reserve(total.saturating_sub(self.entries.len()));
-        self.free.reserve(total.saturating_sub(self.free.len()));
-        // Descent/merge stacks are bounded by treap depth; with
-        // xorshift priorities that is O(log n) with high probability —
-        // 64 frames covers any arena this side of 2^40 entries.
-        self.path.reserve(64);
-        self.path2.reserve(64);
-    }
-
-    // bct-lint: no_alloc
-    fn next_prio(&mut self) -> u64 {
-        // xorshift64: full-period, deterministic, plenty for treap shape.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    fn alloc(&mut self, key: QueueKey, rem: f64, p: f64) -> u32 {
-        let prio = self.next_prio();
-        self.alloc_with_prio(key, rem, p, prio)
-    }
-
-    fn alloc_with_prio(&mut self, key: QueueKey, rem: f64, p: f64, prio: u64) -> u32 {
-        let entry = Entry {
-            key,
-            prio,
-            left: NIL,
-            right: NIL,
-            rem,
-            p,
-            sums: AggSums {
-                cnt: 1,
-                sum_rem: rem,
-                sum_frac: rem / p,
-            },
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.entries[i as usize] = entry;
-                i
-            }
-            None => {
-                self.entries.push(entry);
-                (self.entries.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Recompute `t`'s subtree sums from its children and own values.
-    /// Sums are rebuilt (not delta-adjusted), so float error never
-    /// accumulates across updates.
-    // bct-lint: no_alloc
-    fn pull(&mut self, t: u32) {
-        let (l, r) = (self.entries[t as usize].left, self.entries[t as usize].right);
-        let mut sums = AggSums {
-            cnt: 1,
-            sum_rem: self.entries[t as usize].rem,
-            sum_frac: self.entries[t as usize].rem / self.entries[t as usize].p,
-        };
-        for c in [l, r] {
-            if c != NIL {
-                let cs = self.entries[c as usize].sums;
-                sums.cnt += cs.cnt;
-                sums.sum_rem += cs.sum_rem;
-                sums.sum_frac += cs.sum_frac;
-            }
-        }
-        self.entries[t as usize].sums = sums;
-    }
-
-    /// Split into (keys < `key`, keys ≥ `key`). Iterative — treap depth
-    /// is unbounded in the worst case, so no walk here may recurse.
-    // bct-lint: no_alloc
-    fn split_lt(&mut self, t: u32, key: &QueueKey) -> (u32, u32) {
-        let (mut lroot, mut rroot) = (NIL, NIL);
-        // Nodes whose right (resp. left) child slot awaits the next
-        // piece of the left (resp. right) split.
-        let (mut lhook, mut rhook) = (NIL, NIL);
-        self.path.clear();
-        let mut t = t;
-        while t != NIL {
-            self.path.push(t);
-            if self.entries[t as usize].key.cmp(key) == Ordering::Less {
-                if lhook == NIL {
-                    lroot = t;
-                } else {
-                    self.entries[lhook as usize].right = t;
-                }
-                lhook = t;
-                t = self.entries[t as usize].right;
-            } else {
-                if rhook == NIL {
-                    rroot = t;
-                } else {
-                    self.entries[rhook as usize].left = t;
-                }
-                rhook = t;
-                t = self.entries[t as usize].left;
-            }
-        }
-        if lhook != NIL {
-            self.entries[lhook as usize].right = NIL;
-        }
-        if rhook != NIL {
-            self.entries[rhook as usize].left = NIL;
-        }
-        // The descent path lists each modified node before its altered
-        // child, so pulling in reverse rebuilds sums bottom-up.
-        for i in (0..self.path.len()).rev() {
-            let u = self.path[i];
-            self.pull(u);
-        }
-        (lroot, rroot)
-    }
-
-    /// Iterative top-down merge; same priority tie-break (`a` wins on
-    /// equal priorities) as the textbook recursive form.
-    // bct-lint: no_alloc
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        let (mut a, mut b) = (a, b);
-        let mut root = NIL;
-        // Node whose child slot (right if `hook_right`) awaits the rest.
-        let mut hook = NIL;
-        let mut hook_right = false;
-        self.path2.clear();
-        loop {
-            if a == NIL || b == NIL {
-                let rest = if a == NIL { b } else { a };
-                if hook == NIL {
-                    root = rest;
-                } else if hook_right {
-                    self.entries[hook as usize].right = rest;
-                } else {
-                    self.entries[hook as usize].left = rest;
-                }
-                break;
-            }
-            let take_a = self.entries[a as usize].prio >= self.entries[b as usize].prio;
-            let t = if take_a { a } else { b };
-            if hook == NIL {
-                root = t;
-            } else if hook_right {
-                self.entries[hook as usize].right = t;
-            } else {
-                self.entries[hook as usize].left = t;
-            }
-            hook = t;
-            hook_right = take_a;
-            self.path2.push(t);
-            if take_a {
-                a = self.entries[t as usize].right;
-            } else {
-                b = self.entries[t as usize].left;
-            }
-        }
-        for i in (0..self.path2.len()).rev() {
-            let u = self.path2[i];
-            self.pull(u);
-        }
-        root
-    }
-
-    /// Insert a job entering `Q_v` with full requirement `p` remaining.
-    pub fn insert(&mut self, v: usize, key: QueueKey, p: f64) {
-        let idx = self.alloc(key, p, p);
-        let (a, b) = self.split_lt(self.roots[v], &key);
-        let ab = self.merge(a, idx);
-        self.roots[v] = self.merge(ab, b);
-    }
-
-    /// Test-only insert with a forced priority, so tests can build
-    /// degenerate path-shaped treaps far deeper than the random stream
-    /// would ever produce.
-    #[cfg(test)]
-    fn insert_with_prio(&mut self, v: usize, key: QueueKey, p: f64, prio: u64) {
-        let idx = self.alloc_with_prio(key, p, p, prio);
-        let (a, b) = self.split_lt(self.roots[v], &key);
-        let ab = self.merge(a, idx);
-        self.roots[v] = self.merge(ab, b);
-    }
-
-    /// Remove the entry with exactly `key` from `Q_v`. Iterative:
-    /// descend to the entry, merge its children into its slot, rebuild
-    /// sums along the descent.
-    pub fn remove(&mut self, v: usize, key: &QueueKey) {
-        let mut t = self.roots[v];
-        self.path.clear();
-        loop {
-            assert!(t != NIL, "removing a job that is not in the queue");
-            match key.cmp(&self.entries[t as usize].key) {
-                Ordering::Less => {
-                    self.path.push(t);
-                    t = self.entries[t as usize].left;
-                }
-                Ordering::Greater => {
-                    self.path.push(t);
-                    t = self.entries[t as usize].right;
-                }
-                Ordering::Equal => break,
-            }
-        }
-        let (l, r) = (self.entries[t as usize].left, self.entries[t as usize].right);
-        self.free.push(t);
-        let merged = self.merge(l, r); // uses `path2`, leaves `path` intact
-        match self.path.last() {
-            None => self.roots[v] = merged,
-            Some(&parent) => {
-                if self.entries[parent as usize].left == t {
-                    self.entries[parent as usize].left = merged;
-                } else {
-                    self.entries[parent as usize].right = merged;
-                }
-            }
-        }
-        for i in (0..self.path.len()).rev() {
-            let u = self.path[i];
-            self.pull(u);
-        }
-    }
-
-    /// Update the stored remainder of the entry with `key` in `Q_v`.
-    /// The search path lives in a growable scratch stack — a fixed-size
-    /// array here once made deep treaps an out-of-bounds panic.
-    // bct-lint: no_alloc
-    pub fn set_rem(&mut self, v: usize, key: &QueueKey, rem: f64) {
-        let mut t = self.roots[v];
-        // Collect the search path, then rebuild sums bottom-up.
-        self.path.clear();
-        loop {
-            assert!(t != NIL, "updating a job that is not in the queue");
-            self.path.push(t);
-            match key.cmp(&self.entries[t as usize].key) {
-                Ordering::Less => t = self.entries[t as usize].left,
-                Ordering::Greater => t = self.entries[t as usize].right,
-                Ordering::Equal => break,
-            }
-        }
-        self.entries[t as usize].rem = rem;
-        for i in (0..self.path.len()).rev() {
-            let u = self.path[i];
-            self.pull(u);
-        }
-    }
-
-    /// Aggregates over all of `Q_v`.
-    // bct-lint: no_alloc
-    pub fn totals(&self, v: usize) -> AggSums {
-        let t = self.roots[v];
-        if t == NIL {
-            AggSums::default()
-        } else {
-            self.entries[t as usize].sums
-        }
-    }
-
-    /// Aggregates over entries with key strictly before `key`.
-    // bct-lint: no_alloc
-    pub fn before(&self, v: usize, key: &QueueKey) -> AggSums {
-        let mut acc = AggSums::default();
-        let mut t = self.roots[v];
-        while t != NIL {
-            let e = &self.entries[t as usize];
-            if e.key.cmp(key) == Ordering::Less {
-                if e.left != NIL {
-                    acc.add(self.entries[e.left as usize].sums);
-                }
-                acc.add_entry(e);
-                t = e.right;
-            } else {
-                t = e.left;
-            }
-        }
-        acc
-    }
-
-    /// Aggregates over entries with effective size strictly greater than
-    /// `eff` (any release / id). Summed directly over the suffix — not
-    /// as `totals − prefix` — so no cancellation error sneaks in.
-    // bct-lint: no_alloc
-    pub fn above_eff(&self, v: usize, eff: f64) -> AggSums {
-        let mut acc = AggSums::default();
-        let mut t = self.roots[v];
-        while t != NIL {
-            let e = &self.entries[t as usize];
-            if e.key.eff > eff {
-                if e.right != NIL {
-                    acc.add(self.entries[e.right as usize].sums);
-                }
-                acc.add_entry(e);
-                t = e.left;
-            } else {
-                t = e.right;
-            }
-        }
-        acc
     }
 }
 
@@ -560,9 +160,8 @@ impl FlatNode {
     }
 }
 
-/// The flat (sorted-run) aggregate layout: one [`FlatNode`] per tree
-/// node. Same operation contract and panic messages as
-/// [`QueueAggregates`].
+/// The engine's queue aggregates: one [`FlatNode`] per tree node. An
+/// absent key in `remove` or `set_rem` is an engine bug and panics.
 #[derive(Debug, Default)]
 pub(crate) struct FlatAggregates {
     nodes: Vec<FlatNode>,
@@ -579,7 +178,7 @@ impl FlatAggregates {
 
     /// Clear all queues, keeping every buffer's capacity. Nodes beyond
     /// `num_nodes` from an earlier larger reset are kept (cleared) so
-    /// their capacities survive alternating layouts/topologies.
+    /// their capacities survive alternating topologies.
     pub fn reset(&mut self, num_nodes: usize) {
         for n in &mut self.nodes {
             n.clear();
@@ -587,8 +186,10 @@ impl FlatAggregates {
         self.grow_nodes(num_nodes);
     }
 
-    /// Extend to `num_nodes` queues without touching existing ones
-    /// (mid-run topology growth).
+    /// Extend to `num_nodes` queues without touching existing ones —
+    /// called when a topology mutation adds nodes mid-run, so any
+    /// allocation lands at the mutation event, never in the steady
+    /// state between mutations.
     pub fn grow_nodes(&mut self, num_nodes: usize) {
         if self.nodes.len() < num_nodes {
             self.nodes.resize_with(num_nodes, FlatNode::default);
@@ -622,7 +223,7 @@ impl FlatAggregates {
     pub fn remove(&mut self, v: usize, key: &QueueKey) {
         let n = &mut self.nodes[v];
         let Ok(idx) = n.find(key) else {
-            // bct-lint: allow(p1) -- same contract as the treap: an absent key is an engine bug; harness catch_unwind fault-isolates
+            // bct-lint: allow(p1) -- an absent key is an engine bug; harness catch_unwind fault-isolates
             panic!("removing a job that is not in the queue");
         };
         n.keys.remove(idx);
@@ -637,7 +238,7 @@ impl FlatAggregates {
     pub fn set_rem(&mut self, v: usize, key: &QueueKey, rem: f64) {
         let n = &mut self.nodes[v];
         let Ok(idx) = n.find(key) else {
-            // bct-lint: allow(p1) -- same contract as the treap: an absent key is an engine bug; harness catch_unwind fault-isolates
+            // bct-lint: allow(p1) -- an absent key is an engine bug; harness catch_unwind fault-isolates
             panic!("updating a job that is not in the queue");
         };
         n.rem[idx] = rem;
@@ -695,99 +296,6 @@ impl FlatAggregates {
     }
 }
 
-/// The engine-facing aggregate store: owns both layouts (so one pooled
-/// scratch serves either mode without reallocating) and dispatches on
-/// the [`AggLayout`] selected at [`AggStore::reset`].
-#[derive(Debug, Default)]
-pub(crate) struct AggStore {
-    layout: AggLayout,
-    flat: FlatAggregates,
-    treap: QueueAggregates,
-}
-
-impl AggStore {
-    /// Clear both layouts for `num_nodes` queues and select `layout`
-    /// for this run, keeping every capacity.
-    pub fn reset(&mut self, layout: AggLayout, num_nodes: usize) {
-        self.layout = layout;
-        self.flat.reset(num_nodes);
-        self.treap.reset(num_nodes);
-    }
-
-    /// Extend both layouts to cover `num_nodes` queues without
-    /// disturbing existing entries — called when a topology mutation
-    /// adds nodes mid-run. Any allocation lands at the mutation event,
-    /// never in the steady state between mutations.
-    pub fn grow_nodes(&mut self, num_nodes: usize) {
-        self.flat.grow_nodes(num_nodes);
-        self.treap.grow_nodes(num_nodes);
-    }
-
-    /// Pre-size the *active* layout: `per_queue` is the worst-case
-    /// occupancy of a single `Q_v` (all unfinished jobs), `total` the
-    /// worst-case live entries across all queues (jobs × hops). The
-    /// idle layout keeps its capacities but is not grown.
-    pub fn reserve(&mut self, per_queue: usize, total: usize) {
-        match self.layout {
-            AggLayout::Flat => self.flat.reserve(per_queue),
-            AggLayout::Treap => self.treap.reserve(total),
-        }
-    }
-
-    /// Insert a job entering `Q_v` with full requirement `p` remaining.
-    pub fn insert(&mut self, v: usize, key: QueueKey, p: f64) {
-        match self.layout {
-            AggLayout::Flat => self.flat.insert(v, key, p),
-            AggLayout::Treap => self.treap.insert(v, key, p),
-        }
-    }
-
-    /// Remove the entry with exactly `key` from `Q_v`.
-    pub fn remove(&mut self, v: usize, key: &QueueKey) {
-        match self.layout {
-            AggLayout::Flat => self.flat.remove(v, key),
-            AggLayout::Treap => self.treap.remove(v, key),
-        }
-    }
-
-    /// Update the stored remainder of the entry with `key` in `Q_v`.
-    // bct-lint: no_alloc
-    pub fn set_rem(&mut self, v: usize, key: &QueueKey, rem: f64) {
-        match self.layout {
-            AggLayout::Flat => self.flat.set_rem(v, key, rem),
-            AggLayout::Treap => self.treap.set_rem(v, key, rem),
-        }
-    }
-
-    /// Aggregates over all of `Q_v`.
-    // bct-lint: no_alloc
-    pub fn totals(&self, v: usize) -> AggSums {
-        match self.layout {
-            AggLayout::Flat => self.flat.totals(v),
-            AggLayout::Treap => self.treap.totals(v),
-        }
-    }
-
-    /// Aggregates over entries with key strictly before `key`.
-    // bct-lint: no_alloc
-    pub fn before(&self, v: usize, key: &QueueKey) -> AggSums {
-        match self.layout {
-            AggLayout::Flat => self.flat.before(v, key),
-            AggLayout::Treap => self.treap.before(v, key),
-        }
-    }
-
-    /// Aggregates over entries with effective size strictly greater
-    /// than `eff`.
-    // bct-lint: no_alloc
-    pub fn above_eff(&self, v: usize, eff: f64) -> AggSums {
-        match self.layout {
-            AggLayout::Flat => self.flat.above_eff(v, eff),
-            AggLayout::Treap => self.treap.above_eff(v, eff),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,119 +330,6 @@ mod tests {
             }
             s
         }
-    }
-
-    #[test]
-    fn insert_query_remove_match_brute_force() {
-        let mut agg = QueueAggregates::new(1);
-        let mut mir = Mirror::default();
-        // Deterministic pseudo-random workload of dyadic sizes (exact
-        // float sums in any association order).
-        let mut x = 7u64;
-        let mut step = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        let mut live: Vec<QueueKey> = Vec::new();
-        for i in 0..400u32 {
-            let op = step() % 3;
-            if op < 2 || live.is_empty() {
-                // Power-of-two sizes keep rem/p dyadic, so float sums
-                // are exact in any association order.
-                let p = f64::powi(2.0, (step() % 4) as i32);
-                let k = key(((step() % 8) as f64) * 0.5, i);
-                agg.insert(0, k, p);
-                mir.0.push((k, p, p));
-                live.push(k);
-            } else {
-                let idx = (step() as usize) % live.len();
-                let k = live.swap_remove(idx);
-                agg.remove(0, &k);
-                let pos = mir.0.iter().position(|(mk, _, _)| *mk == k).unwrap();
-                mir.0.swap_remove(pos);
-            }
-            // Occasionally shrink a stored remainder.
-            if !live.is_empty() && step() % 4 == 0 {
-                let k = live[(step() as usize) % live.len()];
-                let e = mir.0.iter_mut().find(|(mk, _, _)| *mk == k).unwrap();
-                e.1 = (e.1 - 0.25).max(0.0);
-                agg.set_rem(0, &k, e.1);
-            }
-            let probe = key(((step() % 8) as f64) * 0.5, step() as u32 % 500);
-            assert_eq!(agg.before(0, &probe), mir.before(&probe), "step {i}");
-            assert_eq!(agg.above_eff(0, probe.eff), mir.above(probe.eff), "step {i}");
-            assert_eq!(agg.totals(0), mir.sums(|_| true), "step {i}");
-        }
-    }
-
-    #[test]
-    fn empty_queue_yields_zero() {
-        let agg = QueueAggregates::new(3);
-        assert_eq!(agg.totals(2), AggSums::default());
-        assert_eq!(agg.before(2, &key(1.0, 0)), AggSums::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the queue")]
-    fn removing_missing_entry_panics() {
-        let mut agg = QueueAggregates::new(1);
-        agg.insert(0, key(1.0, 0), 1.0);
-        agg.remove(0, &key(2.0, 1));
-    }
-
-    #[test]
-    fn deep_path_treap_survives_all_operations() {
-        // Strictly descending priorities by key order force a pure right
-        // spine — depth == n. With the old fixed [NIL; 64] search-path
-        // array, set_rem beyond depth 64 was an out-of-bounds panic, and
-        // recursive split/merge/remove risked stack overflow.
-        const N: u32 = 3000;
-        let mut agg = QueueAggregates::new(1);
-        for i in 0..N {
-            agg.insert_with_prio(0, key(i as f64, i), 2.0, u64::MAX - i as u64);
-        }
-        assert_eq!(agg.totals(0).cnt, N);
-        // Touch the deepest entry.
-        agg.set_rem(0, &key((N - 1) as f64, N - 1), 0.5);
-        assert_eq!(agg.totals(0).sum_rem, 2.0 * (N - 1) as f64 + 0.5);
-        // Split the spine near the bottom (insert lands deep).
-        agg.insert_with_prio(0, key((N - 1) as f64 - 0.5, N), 4.0, 0);
-        assert_eq!(agg.before(0, &key((N - 1) as f64, N - 1)).cnt, N);
-        // Remove from the deep end, then the shallow end.
-        agg.remove(0, &key((N - 1) as f64, N - 1));
-        agg.remove(0, &key(0.0, 0));
-        assert_eq!(agg.totals(0).cnt, N - 1);
-    }
-
-    #[test]
-    fn reset_matches_fresh_construction() {
-        let mut used = QueueAggregates::new(2);
-        for i in 0..100 {
-            used.insert(0, key((i % 7) as f64, i), 1.0);
-            used.insert(1, key((i % 3) as f64, i), 2.0);
-        }
-        for i in 0..50 {
-            used.remove(0, &key((i % 7) as f64, i));
-        }
-        used.reset(2);
-        let mut fresh = QueueAggregates::new(2);
-        // Same operation sequence after reset must produce identical
-        // queries — the priority stream restarts, so treap shapes (and
-        // thus float summation order) match a fresh aggregate exactly.
-        for agg in [&mut used, &mut fresh] {
-            for i in 0..200 {
-                agg.insert(0, key((i % 13) as f64, i), f64::from(i + 1));
-            }
-            for i in (0..200).step_by(3) {
-                agg.remove(0, &key((i % 13) as f64, i));
-            }
-        }
-        for probe in 0..13 {
-            let k = key(probe as f64, 1000);
-            assert_eq!(used.before(0, &k), fresh.before(0, &k));
-            assert_eq!(used.above_eff(0, probe as f64), fresh.above_eff(0, probe as f64));
-        }
-        assert_eq!(used.totals(0), fresh.totals(0));
     }
 
     #[test]
@@ -990,24 +385,23 @@ mod tests {
         }
     }
 
-    /// The engine contract test: [`AggStore`] in both layouts, fed the
-    /// identical operation stream, answers every query bit-exactly the
-    /// same on dyadic sizes (where float sums are association-free, so
-    /// the layouts' different summation orders cannot diverge).
+    /// The engine contract test: the flat layout against the
+    /// brute-force mirror of each queue, fed a randomized
+    /// admit/materialize/remove stream over two queues, answers every
+    /// query bit-exactly on dyadic sizes (where float sums are
+    /// association-free, so the two summation orders cannot diverge).
     #[test]
-    fn store_layouts_agree_bit_exactly_on_dyadic_stream() {
-        let mut flat = AggStore::default();
-        flat.reset(AggLayout::Flat, 2);
-        let mut treap = AggStore::default();
-        treap.reset(AggLayout::Treap, 2);
+    fn flat_matches_brute_force_on_dyadic_stream() {
+        let mut flat = FlatAggregates::new(2);
+        let mut mir: [Mirror; 2] = Default::default();
         let mut x = 99u64;
         let mut step = || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             x >> 33
         };
-        let mut live: Vec<Vec<(QueueKey, f64)>> = vec![Vec::new(); 2];
         for i in 0..600u32 {
             let v = (step() % 2) as usize;
+            let live = &mut mir[v].0;
             match step() % 4 {
                 0 | 1 => {
                     let p = f64::powi(2.0, (step() % 5) as i32 - 2);
@@ -1017,39 +411,33 @@ mod tests {
                         id: i,
                     };
                     flat.insert(v, k, p);
-                    treap.insert(v, k, p);
-                    live[v].push((k, p));
+                    live.push((k, p, p));
                 }
-                2 if !live[v].is_empty() => {
-                    let idx = (step() as usize) % live[v].len();
-                    let (k, _) = live[v].swap_remove(idx);
+                2 if !live.is_empty() => {
+                    let idx = (step() as usize) % live.len();
+                    let (k, _, _) = live.swap_remove(idx);
                     flat.remove(v, &k);
-                    treap.remove(v, &k);
                 }
-                _ if !live[v].is_empty() => {
+                _ if !live.is_empty() => {
                     // Materialization: shrink a stored remainder to a
                     // dyadic fraction of p.
-                    let idx = (step() as usize) % live[v].len();
-                    let (k, p) = live[v][idx];
+                    let idx = (step() as usize) % live.len();
+                    let (k, _, p) = live[idx];
                     let rem = p * 0.25 * (step() % 5) as f64;
+                    live[idx].1 = rem;
                     flat.set_rem(v, &k, rem);
-                    treap.set_rem(v, &k, rem);
                 }
                 _ => {}
             }
-            for q in 0..2 {
+            for (q, mir) in mir.iter().enumerate() {
                 let probe = QueueKey {
                     eff: (step() % 8) as f64 * 0.5,
                     release: (step() % 4) as f64 * 0.25,
                     id: step() as u32 % 700,
                 };
-                assert_eq!(flat.totals(q), treap.totals(q), "step {i}");
-                assert_eq!(flat.before(q, &probe), treap.before(q, &probe), "step {i}");
-                assert_eq!(
-                    flat.above_eff(q, probe.eff),
-                    treap.above_eff(q, probe.eff),
-                    "step {i}"
-                );
+                assert_eq!(flat.totals(q), mir.sums(|_| true), "step {i}");
+                assert_eq!(flat.before(q, &probe), mir.before(&probe), "step {i}");
+                assert_eq!(flat.above_eff(q, probe.eff), mir.above(probe.eff), "step {i}");
             }
         }
     }
@@ -1058,23 +446,21 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
         /// Proptest-driven version of the dyadic agreement contract:
         /// seeded random admit/materialize/remove interleavings over
-        /// two queues, flat vs treap, every query bit-exact after
+        /// two queues, flat vs brute force, every query bit-exact after
         /// every op.
         #[test]
-        fn flat_matches_treap_on_proptest_interleavings(seed in 0u64..1_000_000) {
+        fn flat_matches_brute_force_on_proptest_interleavings(seed in 0u64..1_000_000) {
             let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
             let mut step = move || {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 x >> 33
             };
-            let mut flat = AggStore::default();
-            flat.reset(AggLayout::Flat, 2);
-            let mut treap = AggStore::default();
-            treap.reset(AggLayout::Treap, 2);
-            let mut live: Vec<Vec<(QueueKey, f64)>> = vec![Vec::new(); 2];
+            let mut flat = FlatAggregates::new(2);
+            let mut mir: [Mirror; 2] = Default::default();
             let n_ops = 20 + (step() % 180) as u32;
             for i in 0..n_ops {
                 let v = (step() % 2) as usize;
+                let live = &mut mir[v].0;
                 match step() % 4 {
                     0 | 1 => {
                         let p = f64::powi(2.0, (step() % 5) as i32 - 2);
@@ -1084,21 +470,19 @@ mod tests {
                             id: i,
                         };
                         flat.insert(v, k, p);
-                        treap.insert(v, k, p);
-                        live[v].push((k, p));
+                        live.push((k, p, p));
                     }
-                    2 if !live[v].is_empty() => {
-                        let idx = (step() as usize) % live[v].len();
-                        let (k, _) = live[v].swap_remove(idx);
+                    2 if !live.is_empty() => {
+                        let idx = (step() as usize) % live.len();
+                        let (k, _, _) = live.swap_remove(idx);
                         flat.remove(v, &k);
-                        treap.remove(v, &k);
                     }
-                    _ if !live[v].is_empty() => {
-                        let idx = (step() as usize) % live[v].len();
-                        let (k, p) = live[v][idx];
+                    _ if !live.is_empty() => {
+                        let idx = (step() as usize) % live.len();
+                        let (k, _, p) = live[idx];
                         let rem = p * 0.25 * (step() % 5) as f64;
+                        live[idx].1 = rem;
                         flat.set_rem(v, &k, rem);
-                        treap.set_rem(v, &k, rem);
                     }
                     _ => {}
                 }
@@ -1107,13 +491,10 @@ mod tests {
                     release: (step() % 4) as f64 * 0.25,
                     id: step() as u32 % 500,
                 };
-                for q in 0..2 {
-                    proptest::prop_assert_eq!(flat.totals(q), treap.totals(q));
-                    proptest::prop_assert_eq!(flat.before(q, &probe), treap.before(q, &probe));
-                    proptest::prop_assert_eq!(
-                        flat.above_eff(q, probe.eff),
-                        treap.above_eff(q, probe.eff)
-                    );
+                for (q, mir) in mir.iter().enumerate() {
+                    proptest::prop_assert_eq!(flat.totals(q), mir.sums(|_| true));
+                    proptest::prop_assert_eq!(flat.before(q, &probe), mir.before(&probe));
+                    proptest::prop_assert_eq!(flat.above_eff(q, probe.eff), mir.above(probe.eff));
                 }
             }
         }
@@ -1144,21 +525,5 @@ mod tests {
             assert_eq!(used.above_eff(0, probe as f64), fresh.above_eff(0, probe as f64));
         }
         assert_eq!(used.totals(0), fresh.totals(0));
-    }
-
-    #[test]
-    fn arena_reuses_freed_slots() {
-        let mut agg = QueueAggregates::new(1);
-        for i in 0..10 {
-            agg.insert(0, key(1.0, i), 1.0);
-        }
-        for i in 0..10 {
-            agg.remove(0, &key(1.0, i));
-        }
-        for i in 10..20 {
-            agg.insert(0, key(1.0, i), 1.0);
-        }
-        assert_eq!(agg.entries.len(), 10, "slots recycled, not regrown");
-        assert_eq!(agg.totals(0).cnt, 10);
     }
 }

@@ -1,7 +1,6 @@
 //! The event-driven engine.
 
-use crate::agg::AggLayout;
-use crate::evq::{EventQueue, EventQueueKind, FinishEv};
+use crate::evq::{EventQueue, FinishEv};
 use crate::outcome::{HopFinishes, SimOutcome};
 use crate::policy::{NodePolicy, Probe, StatefulPolicy};
 use crate::scratch::SimScratch;
@@ -44,17 +43,8 @@ pub struct SimConfig {
     pub max_events: u64,
     /// Class rounding the per-node queue aggregates are keyed by
     /// (`None` = raw sizes). Dispatch policies whose own rounding
-    /// matches get `O(log)` scoring queries instead of queue scans.
+    /// matches get sub-linear scoring queries instead of queue scans.
     pub dispatch_rounding: Option<ClassRounding>,
-    /// Pending-event queue implementation. The calendar queue (default)
-    /// and the binary heap pop in the same order, so outputs are
-    /// byte-identical; the heap is kept as the differential oracle.
-    pub event_queue: EventQueueKind,
-    /// Queue-aggregate layout. The flat layout (default) and the treap
-    /// answer queries in different float-summation orders, so greedy
-    /// scores may differ in final bits on non-dyadic sizes; the treap
-    /// is kept as the differential oracle.
-    pub aggregates: AggLayout,
     /// Topology mutation schedule, sorted by time. Empty (the default)
     /// keeps the run fully static on the instance's tree — the
     /// pre-dynamic code path, byte-identical outputs included. A
@@ -79,8 +69,6 @@ impl SimConfig {
             horizon: None,
             max_events: 1 << 34,
             dispatch_rounding: None,
-            event_queue: EventQueueKind::default(),
-            aggregates: AggLayout::default(),
             mutations: Vec::new(),
         }
     }
@@ -97,31 +85,11 @@ impl SimConfig {
         self
     }
 
-    /// Select the pending-event queue implementation.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> SimConfig {
-        self.event_queue = kind;
-        self
-    }
-
-    /// Select the queue-aggregate layout.
-    pub fn with_aggregates(mut self, layout: AggLayout) -> SimConfig {
-        self.aggregates = layout;
-        self
-    }
-
     /// Schedule topology mutations (must be sorted by time; validated
     /// at run start).
     pub fn with_mutations(mut self, mutations: Vec<TopoMutation>) -> SimConfig {
         self.mutations = mutations;
         self
-    }
-
-    /// Compat mode: the binary event heap and the treap aggregates —
-    /// the oracle configuration the differential suite compares the
-    /// defaults against.
-    pub fn compat_structures(self) -> SimConfig {
-        self.with_event_queue(EventQueueKind::BinaryHeap)
-            .with_aggregates(AggLayout::Treap)
     }
 }
 
@@ -219,8 +187,10 @@ impl Simulation {
     /// [`Simulation::run`], reusing `scratch`'s buffers. Repeated runs
     /// over the same topology shape are allocation-free in steady state
     /// (pair with [`SimScratch::recycle`] to also reuse the outcome
-    /// vectors). Results are bit-identical to a fresh run — the
-    /// aggregate treap re-seeds its priority stream on reset.
+    /// vectors). Results are bit-identical to a fresh run: every buffer
+    /// is cleared in place, the event queue restarts its sequence
+    /// counter, and the aggregates' block boundaries depend only on the
+    /// current queue contents.
     pub fn run_with_scratch<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
         scratch: &mut SimScratch,
         instance: &Instance,
@@ -320,7 +290,7 @@ impl Simulation {
             tr.push(now, node, j, TraceKind::Start);
         }
         let version = st.node_version(node);
-        evq.push(t_fin.max(now), node, version);
+        EventQueue::push(evq, t_fin.max(now), node, version);
     }
 
     /// Assemble the outcome from the pooled buffers, then hand the
@@ -433,13 +403,12 @@ impl<'a> RunLane<'a> {
             instance,
             cfg.dispatch_rounding,
             track_aggs,
-            cfg.aggregates,
             dynamic,
             scratch,
         );
         let trace = cfg.record_trace.then(Trace::default);
         let mut evq = mem::take(&mut scratch.evq);
-        evq.reset(cfg.event_queue);
+        evq.reset();
         // Topology mutations ride the pending-event queue as sentinel
         // events (node = TOPO_NODE, version = schedule index). Pushed
         // first, they take the smallest sequence numbers, so at equal
@@ -447,7 +416,7 @@ impl<'a> RunLane<'a> {
         // finish-before-arrival tie rule then puts it before arrivals
         // too: mutations > completions > arrivals at one instant.
         for (i, tm) in cfg.mutations.iter().enumerate() {
-            evq.push(tm.at, TOPO_NODE, i as u64);
+            EventQueue::push(&mut evq, tm.at, TOPO_NODE, i as u64);
         }
         Ok(RunLane {
             instance,
@@ -626,7 +595,7 @@ impl<'a> RunLane<'a> {
             if st.apply_speed_change(node, s) {
                 // bct-lint: allow(p1) -- invariant: apply_speed_change returns true iff the node has a current job, which predicted_finish requires
                 let t_fin = st.predicted_finish(node).expect("current implies a finish");
-                evq.push(t_fin.max(now), node, st.node_version(node));
+                EventQueue::push(evq, t_fin.max(now), node, st.node_version(node));
             }
         }
         // 6. Surviving nodes that lost their current job to the drain
@@ -689,7 +658,7 @@ impl<'a> RunLane<'a> {
         }
         self.st.advance(t);
         if take_finish {
-            let Some(FinishEv { node, version, .. }) = self.evq.pop() else {
+            let Some(FinishEv { node, version, .. }) = EventQueue::pop(&mut self.evq) else {
                 debug_assert!(false, "take_finish implies a peeked event");
                 return Ok(false);
             };

@@ -47,9 +47,8 @@ pub mod session;
 pub mod state;
 pub mod trace;
 
-pub use agg::AggLayout;
 pub use engine::{SimConfig, Simulation, TopoMutation};
-pub use evq::{EventQueue, EventQueueKind};
+pub use evq::EventQueue;
 pub use outcome::{HopFinishes, SimOutcome};
 pub use scratch::SimScratch;
 pub use session::{SessionError, SimSession};

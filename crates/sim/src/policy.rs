@@ -98,7 +98,7 @@ pub trait AssignmentPolicy {
     /// Must return a leaf of `view.instance().tree()`.
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId;
 
-    /// Whether this policy uses the view's `O(log)` aggregate queries
+    /// Whether this policy uses the view's sub-linear aggregate queries
     /// (`volume_before`, `count_larger`, `frac_volume_larger`). The
     /// engine maintains the per-node queue aggregates only when the
     /// assignment policy or the probe asks for them — they never affect

@@ -1,16 +1,16 @@
 //! Reusable buffer pool for repeated simulation runs.
 //!
 //! A [`SimScratch`] owns every heap-backed structure a run needs — node
-//! states, queue memberships, the aggregate store (both layouts), the
-//! SoA job table, the materialized speed table, the event queue (both
-//! implementations), and a pool of outcome buffers. [`crate::Simulation::run_with_scratch`] takes the
+//! states, queue memberships, the per-node queue aggregates, the SoA job
+//! table, the materialized speed table, the event queue, and a pool of
+//! outcome buffers. [`crate::Simulation::run_with_scratch`] takes the
 //! buffers out, `clear()`s them in place (capacity retained), runs, and
 //! hands them back, so the second run over the same topology shape
 //! allocates nothing. [`SimScratch::recycle`] additionally returns a
 //! consumed [`SimOutcome`]'s vectors to the pool, closing the loop for
 //! sweep workers that discard outcomes after aggregating them.
 
-use crate::agg::AggStore;
+use crate::agg::FlatAggregates;
 use crate::evq::EventQueue;
 use crate::outcome::SimOutcome;
 use crate::state::{JobTable, NodeState};
@@ -27,7 +27,7 @@ use bct_core::{JobId, NodeId, Time, Tree};
 pub struct SimScratch {
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) q_members: Vec<Vec<(JobId, u32)>>,
-    pub(crate) aggs: AggStore,
+    pub(crate) aggs: FlatAggregates,
     pub(crate) jobs: JobTable,
     pub(crate) speeds: Vec<f64>,
     pub(crate) evq: EventQueue,

@@ -243,9 +243,8 @@ impl SimSession {
         for ns in &mut self.scratch.nodes {
             ns.heap.reserve(jobs);
         }
-        // Aggregates: any single queue can hold every unfinished job,
-        // and across all queues a job occupies one entry per hop.
-        self.scratch.aggs.reserve(jobs, jobs * max_hops);
+        // Aggregates: any single queue can hold every unfinished job.
+        self.scratch.aggs.reserve(jobs);
         // Pending finish events are bounded by busy nodes, but stale
         // (version-superseded) entries linger until popped; give them
         // headroom proportional to the tree.

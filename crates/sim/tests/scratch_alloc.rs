@@ -5,9 +5,8 @@
 //! to a fresh-buffer run.
 //!
 //! The phases share one counting allocator: an aggregate-free
-//! round-robin run (covers the calendar event queue's bucket reuse —
-//! re-bucketing must keep each bucket's capacity attached to its slot),
-//! an aggregate-driven greedy run (covers the flat aggregate layout's
+//! round-robin run (the event queue carries the whole event load and
+//! must keep its heap's capacity across runs), an aggregate-driven greedy run (covers the flat aggregate layout's
 //! in-place block rebuilds on every admit/materialize/remove), a
 //! dynamic-topology run (mutations may allocate, the intervals between
 //! them may not), and a run after a failed one (an errored run must
@@ -173,7 +172,7 @@ impl AssignmentPolicy for RoundRobin {
 
 /// 8 routers x 8 leaves under the root, 2000 jobs with staggered
 /// releases and power-of-two sizes — enough traffic to exercise
-/// preemption, treap churn, and multi-hop queues.
+/// preemption, aggregate churn, and multi-hop queues.
 fn fixture() -> Instance {
     let mut b = TreeBuilder::new();
     for _ in 0..8 {
@@ -258,25 +257,15 @@ fn second_scratch_run_allocates_nothing_and_matches_fresh() {
     let inst = fixture();
     let cfg = SimConfig::unit();
 
-    // Aggregate-free round robin: the default calendar event queue
-    // carries the whole event load; its warm run proves bucket reuse
-    // (re-bucketing keeps capacities attached to their slots).
-    assert_steady_state_zero_alloc("round-robin/calendar", &inst, &cfg, || {
+    // Aggregate-free round robin: the event queue carries the whole
+    // event load; its warm run proves the heap keeps its capacity.
+    assert_steady_state_zero_alloc("round-robin", &inst, &cfg, || {
         Box::new(RoundRobin { leaves: leaves(&inst), next: 0 })
     });
 
     // Aggregate-driven greedy: every admit/materialize/remove now also
     // churns the flat aggregate layout's blocked sums in place.
     assert_steady_state_zero_alloc("agg-greedy/flat", &inst, &cfg, || Box::new(AggGreedy));
-
-    // Same greedy under the compat structures (binary heap + treap):
-    // the oracle configuration keeps its zero-alloc contract too.
-    assert_steady_state_zero_alloc(
-        "agg-greedy/compat",
-        &inst,
-        &cfg.clone().compat_structures(),
-        || Box::new(AggGreedy),
-    );
 
     // Dynamic topologies: mutations may allocate (arena growth, node
     // tables for added ids), but every event interval *between* them
