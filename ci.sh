@@ -14,6 +14,12 @@ cargo test -q --workspace
 # warm-scratch zero-allocation contract.
 cargo test -q --release -p bct-sim --lib evq::tests
 cargo test -q --release -p bct-sim --lib agg::tests
+# The dispatch differential suite is the oracle of the one dispatch
+# path: every greedy score is answered from those aggregates, and the
+# suite checks every aggregate query against the `prio::naive` scans,
+# bit for bit on dyadic data, and every production leaf decision
+# against a per-leaf oracle.
+cargo test -q --release -p bct-sched --test differential
 cargo test -q --release -p bct-sim --test scratch_alloc
 
 # Session oracles, run explicitly: offline runs and serve sessions
@@ -67,8 +73,8 @@ cargo clippy --all-targets -- -D warnings \
 
 # Golden sweeps: 2-worker runs must reproduce the checked-in JSONL byte
 # for byte (the harness's determinism contract, end to end through the
-# CLI). The heavy-tail grid exercises the aggregate fast path (greedy
-# dispatch with raw sizes) under Pareto sizes at rho up to 2.
+# CLI). The heavy-tail grid exercises the aggregate-backed greedy
+# dispatch under Pareto sizes at rho up to 2.
 golden_out=$(mktemp)
 run_dir=$(mktemp -d)
 trap 'rm -f "$golden_out"; rm -rf "$run_dir"' EXIT

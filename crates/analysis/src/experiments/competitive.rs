@@ -8,7 +8,7 @@ use crate::table::{num, Table};
 use bct_core::{Broomstick, Instance, SpeedProfile};
 use bct_lp::bounds::combined_bound;
 use bct_lp::model::{lp_lower_bound, LpGrid};
-use bct_sched::{run_general, GeneralConfig};
+use bct_sched::run_general;
 use bct_workloads::jobs::{ArrivalProcess, SizeDist, UnrelatedModel, WorkloadSpec};
 use bct_workloads::topo;
 
@@ -42,7 +42,7 @@ pub fn e1_identical_competitive(scale: Scale) -> Table {
                     unrelated: None,
                 };
                 let inst = spec.instance(&tree, seed).unwrap();
-                let run = run_general(&inst, &GeneralConfig::new(eps)).unwrap();
+                let run = run_general(&inst, eps).unwrap();
                 let alg = total_flow(&inst, &run.tree_outcome);
                 let lb = lp_lower_bound(
                     &inst,
@@ -72,7 +72,7 @@ pub fn e1_identical_competitive(scale: Scale) -> Table {
                     &tree,
                 );
                 let inst = spec.instance(&tree, 100 + seed).unwrap();
-                let run = run_general(&inst, &GeneralConfig::new(eps)).unwrap();
+                let run = run_general(&inst, eps).unwrap();
                 let alg = total_flow(&inst, &run.tree_outcome);
                 alg / combined_bound(&inst, 1.0)
             })

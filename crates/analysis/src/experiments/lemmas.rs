@@ -6,7 +6,7 @@ use crate::stats;
 use crate::table::{num, Table};
 use bct_core::{Instance, JobId, NodeId, SpeedProfile};
 use bct_sched::bounds::{lemma1_pairs, lemma2_available_volume, lemma2_bound, phi};
-use bct_sched::{run_general, GeneralConfig, GreedyIdentical};
+use bct_sched::{run_general, GreedyIdentical};
 use bct_sim::policy::Probe;
 use bct_sim::{SimConfig, SimView, Simulation};
 use bct_workloads::jobs::{ArrivalProcess, SizeDist, UnrelatedModel, WorkloadSpec};
@@ -92,7 +92,7 @@ impl Lemma2Probe {
             if k < view.hop(j) || tree.depth(v) <= 1 || tree.is_leaf(v) {
                 continue;
             }
-            let vol = lemma2_available_volume(view, None, v, j);
+            let vol = lemma2_available_volume(view, v, j);
             self.ratios.push(vol / bound);
         }
     }
@@ -162,7 +162,7 @@ impl Probe for PhiProbe {
             if !view.released(j) || view.completion(j).is_some() || view.hop(j) == 0 {
                 continue;
             }
-            if let Some(p) = phi(view, None, self.eps, j) {
+            if let Some(p) = phi(view, self.eps, j) {
                 self.snapshots.push((j, view.now(), p));
             }
         }
@@ -249,7 +249,7 @@ pub fn e7_lemma8_mirroring(scale: Scale) -> Table {
                 }
                 .instance(&tree, 800 + seed)
                 .unwrap();
-                let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+                let run = run_general(&inst, 0.5).unwrap();
                 let viol = run.lemma8_violations(&inst).len();
                 let releases: Vec<f64> = inst.jobs().iter().map(|j| j.release).collect();
                 let ft = run.tree_outcome.total_flow(&releases);

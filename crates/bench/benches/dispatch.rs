@@ -2,28 +2,30 @@
 //! queries vs the naive `O(|Q|)` scan oracle, and the production
 //! decision vs a per-leaf score loop.
 //!
-//! One driving simulation per variant (round-robin assignment, SJF
-//! nodes, 50k jobs on a 1024-leaf fat tree) provides live queue states.
-//! At sampled arrivals a probe times, on the same state, two ways of
-//! making one greedy decision:
+//! One driving simulation (round-robin assignment, SJF nodes, 50k jobs
+//! on a 1024-leaf fat tree) provides live queue states. At sampled
+//! arrivals a probe times, on the same state, three ways of making one
+//! greedy decision:
 //!
+//! * the **naive score loop** — score every leaf with
+//!   `GreedyIdentical::score`'s formula over `prio::naive`'s scans,
+//!   take the argmin;
 //! * the **score loop** — score every leaf through
-//!   `GreedyIdentical::score`, take the argmin: `F` is evaluated once
-//!   per leaf;
+//!   `GreedyIdentical::score`, whose queries the engine's queue
+//!   aggregates answer, take the argmin: `F` is evaluated once per leaf;
 //! * **`assign`** — `AssignmentPolicy::assign`, the decision `bct serve`
 //!   and the sweeps run: `F` is evaluated once per entry node (16 here).
 //!
-//! Both must pick the same leaf. Both variants run the same code: the
-//! "aggregate" run keys the engine's queue aggregates like the policy
-//! (fast path taken), the "naive" run mis-keys them (class-rounded
-//! engine vs raw-size policy), so every query falls back to the scan
-//! oracle. Only the time inside the timed calls is measured. The bench
-//! asserts the aggregate score loop is >=5x faster than the naive one,
-//! and that on the aggregate run `assign` is >=4x faster than the score
-//! loop.
+//! `assign` must pick the score loop's leaf, and the two score loops'
+//! checksums must agree up to summation order. Only the time inside
+//! the timed calls is measured. The bench asserts the score loop is
+//! >=5x faster than the naive one, and `assign` >=4x faster than the
+//! score loop.
 
-use bct_core::{ClassRounding, Instance, JobId, NodeId, SpeedProfile};
+use bct_core::{Instance, JobId, NodeId, SpeedProfile};
+use bct_policies::prio::naive;
 use bct_policies::Sjf;
+use bct_sched::cost::distance_term;
 use bct_sched::GreedyIdentical;
 use bct_sim::policy::Probe;
 use bct_sim::{AssignmentPolicy, SimConfig, SimView, Simulation};
@@ -32,6 +34,9 @@ use bct_workloads::topo;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+/// The greedy rule's `ε`.
+const EPS: f64 = 0.5;
 
 /// Cheap deterministic driving assignment: cycle over the leaves.
 struct RoundRobin {
@@ -50,17 +55,42 @@ impl AssignmentPolicy for RoundRobin {
     }
 }
 
-/// Time spent in each way of deciding, over `decisions` decisions each.
+/// `GreedyIdentical::score` of `leaf`, with `F` assembled from the scan
+/// oracle's queries.
+fn naive_score(view: &SimView<'_>, job: JobId, leaf: NodeId) -> f64 {
+    let r = view.entry_node(job, leaf);
+    let p = view.instance().p(job, r);
+    let f = naive::s_volume_excl(view, r, job) + p + p * naive::count_larger(view, r, job) as f64;
+    let d = view.path_for(job, leaf).len() as u32;
+    f + distance_term(EPS, view.instance().job(job).size, d)
+}
+
+/// The argmin leaf of `score` over `leaves` and its score.
+fn best_leaf(leaves: &[NodeId], score: impl Fn(NodeId) -> f64) -> (NodeId, f64) {
+    let mut best = (leaves[0], f64::INFINITY);
+    for &v in leaves {
+        let s = score(v);
+        if s < best.1 {
+            best = (v, s);
+        }
+    }
+    best
+}
+
+/// Time spent in each way of deciding, over `decisions` decisions each,
+/// and the summed best scores of the two score loops.
 struct Timings {
+    naive_loop: Duration,
     score_loop: Duration,
     assign: Duration,
     decisions: u64,
+    naive_sink: f64,
     sink: f64,
 }
 
-/// Times `reps` score-loop decisions and `reps` `assign` calls at every
-/// `sample_every`-th arrival (skipping the cold start), accumulating
-/// only the time inside them.
+/// Times `reps` decisions of each kind at every `sample_every`-th
+/// arrival (skipping the cold start), accumulating only the time inside
+/// them.
 struct DecisionTimer {
     policy: GreedyIdentical,
     sample_every: usize,
@@ -75,18 +105,18 @@ impl Probe for DecisionTimer {
             return;
         }
         let leaves = view.tree().leaves();
+        let start = Instant::now();
+        for _ in 0..self.reps {
+            self.t.naive_sink += best_leaf(leaves, |v| naive_score(view, job, v)).1;
+        }
+        self.t.naive_loop += start.elapsed();
+
         let mut loop_leaf = leaves[0];
         let start = Instant::now();
         for _ in 0..self.reps {
-            let mut best = f64::INFINITY;
-            for &v in leaves {
-                let s = self.policy.score(view, job, v);
-                if s < best {
-                    best = s;
-                    loop_leaf = v;
-                }
-            }
-            self.t.sink += best;
+            let (v, s) = best_leaf(leaves, |v| self.policy.score(view, job, v));
+            loop_leaf = v;
+            self.t.sink += s;
         }
         self.t.score_loop += start.elapsed();
 
@@ -105,23 +135,18 @@ impl Probe for DecisionTimer {
     }
 }
 
-/// Run the driving simulation and time the sampled decisions. `fast`
-/// keys the engine aggregates to match the scoring policy; otherwise
-/// they are deliberately mis-keyed so every query takes the scan
-/// fallback.
-fn measure(inst: &Instance, reps: u64, fast: bool) -> Timings {
-    let mut cfg = SimConfig::with_speeds(SpeedProfile::unit());
-    if !fast {
-        cfg.dispatch_rounding = Some(ClassRounding::new(0.5));
-    }
+/// Run the driving simulation and time the sampled decisions.
+fn measure(inst: &Instance, reps: u64) -> Timings {
     let mut probe = DecisionTimer {
-        policy: GreedyIdentical::new(0.5),
+        policy: GreedyIdentical::new(EPS),
         sample_every: inst.n() / 10,
         reps,
         t: Timings {
+            naive_loop: Duration::ZERO,
             score_loop: Duration::ZERO,
             assign: Duration::ZERO,
             decisions: 0,
+            naive_sink: 0.0,
             sink: 0.0,
         },
     };
@@ -129,6 +154,7 @@ fn measure(inst: &Instance, reps: u64, fast: bool) -> Timings {
         leaves: inst.tree().leaves().to_vec(),
         next: 0,
     };
+    let cfg = SimConfig::with_speeds(SpeedProfile::unit());
     Simulation::run(inst, &Sjf::new(), &mut asg, &mut probe, &cfg).unwrap();
     assert!(probe.t.decisions > 0, "probe never sampled an arrival");
     probe.t
@@ -155,26 +181,22 @@ fn dispatch_scoring(c: &mut Criterion) {
     .instance(&tree, 17)
     .expect("valid instance");
 
-    let reps = 5;
-    let fast = measure(&inst, reps, true);
-    let slow = measure(&inst, reps, false);
-    assert_eq!(fast.decisions, slow.decisions);
+    let t = measure(&inst, 5);
     // Same scores up to summation order; a checksum divergence means the
-    // two paths scored different queues.
+    // two score loops scored different queues.
     assert!(
-        (fast.sink - slow.sink).abs() <= 1e-6 * (1.0 + slow.sink.abs()),
+        (t.sink - t.naive_sink).abs() <= 1e-6 * (1.0 + t.naive_sink.abs()),
         "checksum diverged: {} vs {}",
-        fast.sink,
-        slow.sink
+        t.sink,
+        t.naive_sink
     );
 
     let mut g = c.benchmark_group("dispatch_scoring");
-    g.sample_size(fast.decisions as usize);
+    g.sample_size(t.decisions as usize);
     let series = [
-        ("aggregate", fast.score_loop),
-        ("naive", slow.score_loop),
-        ("assign-aggregate", fast.assign),
-        ("assign-naive", slow.assign),
+        ("aggregate", t.score_loop),
+        ("naive", t.naive_loop),
+        ("assign", t.assign),
     ];
     for (variant, d) in series {
         let id = BenchmarkId::new(format!("greedy-assign/{variant}"), "1024-leaves-50k-jobs");
@@ -182,18 +204,17 @@ fn dispatch_scoring(c: &mut Criterion) {
     }
     g.finish();
 
-    let n = fast.decisions;
+    let n = t.decisions;
     println!(
         "dispatch_scoring/rates (decisions/s): score loop {:.0} aggregate / {:.0} naive; \
-         assign {:.0} aggregate / {:.0} naive",
-        rate(n, fast.score_loop),
-        rate(n, slow.score_loop),
-        rate(n, fast.assign),
-        rate(n, slow.assign)
+         assign {:.0}",
+        rate(n, t.score_loop),
+        rate(n, t.naive_loop),
+        rate(n, t.assign)
     );
-    let speedup = slow.score_loop.as_secs_f64() / fast.score_loop.as_secs_f64();
+    let speedup = t.naive_loop.as_secs_f64() / t.score_loop.as_secs_f64();
     println!("dispatch_scoring/speedup(naive/aggregate): {speedup:.1}x");
-    let assign_speedup = fast.score_loop.as_secs_f64() / fast.assign.as_secs_f64();
+    let assign_speedup = t.score_loop.as_secs_f64() / t.assign.as_secs_f64();
     println!("dispatch_scoring/speedup(score loop/assign): {assign_speedup:.1}x");
     assert!(
         speedup >= 5.0,

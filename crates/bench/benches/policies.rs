@@ -46,7 +46,7 @@ fn bench_general_tree_algorithm(c: &mut Criterion) {
     g.bench_function("run_general(eps=0.5)", |b| {
         b.iter(|| {
             let run =
-                bct_sched::run_general(black_box(&inst), &bct_sched::GeneralConfig::new(0.5))
+                bct_sched::run_general(black_box(&inst), 0.5)
                     .unwrap();
             black_box(run.tree_outcome.makespan)
         })

@@ -16,8 +16,15 @@
 //!   `bandwidth_tree_scheduling` → the root facade, a `use` alias → its
 //!   full path); `std`/`core`/`alloc` paths are external. A
 //!   `Type::method` tail resolves against `impl Type` methods (unique
-//!   in the target crate, then unique in the workspace); a plain tail
-//!   resolves against free fns of the target crate.
+//!   in the target crate, then unique in the workspace). A plain tail
+//!   resolves against free fns by module path first: an absolute path
+//!   (`crate::`, `bct_x::`, the facade) names the fn's full id
+//!   (`crate::mod::f`), `self::` and `super::` start at the caller's
+//!   module or its parent, and any other path is tried under the
+//!   caller's module, then under its crate root. Only when no fn has
+//!   that id does the tail fall back to a unique free fn of that name
+//!   in the target crate, so same-name fns in sibling modules
+//!   (`prio::s_volume_excl`, `prio::naive::s_volume_excl`) stay apart.
 //! - **Method calls** `.m(…)`: resolved only when the name is not a
 //!   common `std` method (see `STD_METHODS` — a `.len()` must never
 //!   create an edge to some workspace `len`), preferring a unique
@@ -227,6 +234,7 @@ impl GraphBuilder {
         let mut file_free: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         let mut file_meth: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         let mut crate_free: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+        let mut free_id: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut ws_meth: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut crate_type_meth: BTreeMap<(&str, &str, &str), Vec<usize>> = BTreeMap::new();
         let mut ws_type_meth: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
@@ -235,6 +243,7 @@ impl GraphBuilder {
                 None => {
                     file_free.entry((&n.file, &n.name)).or_default().push(ni);
                     crate_free.entry((&n.krate, &n.name)).or_default().push(ni);
+                    free_id.entry(&n.id).or_default().push(ni);
                 }
                 Some(ty) => {
                     file_meth.entry((&n.file, &n.name)).or_default().push(ni);
@@ -276,6 +285,7 @@ impl GraphBuilder {
                             segs,
                             n,
                             &self.crates,
+                            &free_id,
                             &crate_free,
                             &crate_type_meth,
                             &ws_type_meth,
@@ -314,6 +324,21 @@ impl GraphBuilder {
     }
 }
 
+/// The module a fn is defined in, as an id prefix: its id without the
+/// fn name and, for a method, without the impl type (`sim::engine`).
+fn module_of(n: &FnNode) -> &str {
+    let strip = |id: &'_ str, tail: &str| -> Option<usize> {
+        id.strip_suffix(tail)
+            .and_then(|m| m.strip_suffix("::"))
+            .map(str::len)
+    };
+    let mut end = strip(&n.id, &n.name).unwrap_or(n.id.len());
+    if let Some(ty) = &n.impl_type {
+        end = strip(&n.id[..end], ty).unwrap_or(end);
+    }
+    &n.id[..end]
+}
+
 /// The one candidate in `v` a caller can reach, if exactly one: a
 /// non-test caller (`caller_test == false`) does not see test-only fns.
 fn unique_candidate(v: Option<&Vec<usize>>, caller_test: bool, nodes: &[FnNode]) -> Option<usize> {
@@ -343,10 +368,12 @@ fn expand_alias(target: &CallTarget, imports: &[(String, Vec<String>)]) -> CallT
 
 /// Resolve a path call (post alias expansion). See the module docs for
 /// the exact rules.
+#[allow(clippy::too_many_arguments)]
 fn resolve_path(
     segs: &[String],
     caller: &FnNode,
     crates: &BTreeSet<String>,
+    free_id: &BTreeMap<&str, Vec<usize>>,
     crate_free: &BTreeMap<(&str, &str), Vec<usize>>,
     crate_type_meth: &BTreeMap<(&str, &str, &str), Vec<usize>>,
     ws_type_meth: &BTreeMap<(&str, &str), Vec<usize>>,
@@ -354,15 +381,26 @@ fn resolve_path(
 ) -> Option<usize> {
     let mut segs = segs;
     let mut krate: Option<&str> = None;
+    let module = module_of(caller);
+    // Module id prefixes the free-fn tail is tried under, in order.
+    let mut bases: Vec<&str> = Vec::new();
     match segs.first().map(|s| s.as_str()) {
         Some("std") | Some("core") | Some("alloc") => return None,
-        Some("crate") | Some("self") | Some("super") => {
+        Some(first @ ("crate" | "self" | "super")) => {
             krate = Some(&caller.krate);
             segs = &segs[1..];
+            bases.push(match first {
+                "crate" => &caller.krate,
+                "self" => module,
+                _ => module
+                    .rsplit_once("::")
+                    .map_or(module, |(parent, _)| parent),
+            });
         }
         Some("bandwidth_tree_scheduling") => {
             krate = Some("root");
             segs = &segs[1..];
+            bases.push("root");
         }
         Some("Self") => {
             // `Self::helper(…)` — a method/assoc fn of the caller's own
@@ -372,14 +410,17 @@ fn resolve_path(
             return unique(crate_type_meth.get(&(caller.krate.as_str(), ty, name.as_str())))
                 .or_else(|| unique(ws_type_meth.get(&(ty, name.as_str()))));
         }
-        Some(first) => {
-            if let Some(dir) = first.strip_prefix("bct_") {
-                if crates.contains(dir) {
-                    krate = Some(dir);
-                    segs = &segs[1..];
-                }
+        Some(first) => match first
+            .strip_prefix("bct_")
+            .filter(|dir| crates.contains(*dir))
+        {
+            Some(dir) => {
+                krate = Some(dir);
+                segs = &segs[1..];
+                bases.push(dir);
             }
-        }
+            None => bases.extend([module, caller.krate.as_str()]),
+        },
         None => return None,
     }
     let name = segs.last()?.as_str();
@@ -394,10 +435,14 @@ fn resolve_path(
             };
         }
     }
-    // Plain path to a free fn: in the mapped crate, else (a relative
-    // module path like `helpers::f()`) in the caller's crate.
-    let k = krate.unwrap_or(&caller.krate);
-    unique(crate_free.get(&(k, name)))
+    // Plain path to a free fn: by module path, else by name alone in
+    // the mapped crate (a relative path like `helpers::f()`: the
+    // caller's crate).
+    let tail = segs.join("::");
+    bases
+        .iter()
+        .find_map(|base| unique(free_id.get(format!("{base}::{tail}").as_str())))
+        .or_else(|| unique(crate_free.get(&(krate.unwrap_or(&caller.krate), name))))
 }
 
 /// Scan one fn body for sinks, skipping nested fn bodies.
@@ -702,6 +747,45 @@ mod tests {
             edge_ids(&g),
             [("sim::c::tick".to_string(), "sim::a::A::refresh".to_string())]
         );
+    }
+
+    #[test]
+    fn path_calls_resolve_same_name_free_fns_by_module_path() {
+        let files = [
+            ("crates/sim/src/a.rs", "pub fn f() {}"),
+            ("crates/sim/src/b.rs", "pub fn f() {}"),
+            ("crates/sim/src/c.rs", "fn go() { crate::a::f(); crate::b::f(); }"),
+            (
+                "crates/policies/src/prio.rs",
+                "pub fn volume() {}
+                 pub mod naive {
+                     pub fn volume() {}
+                     pub fn check() { super::volume(); }
+                 }
+                 pub fn oracle() { naive::volume(); }",
+            ),
+            (
+                "crates/sched/src/cost.rs",
+                "use bct_policies::prio;
+                 fn f_term() { prio::volume(); }
+                 fn f_oracle() { bct_policies::prio::naive::volume(); }",
+            ),
+        ];
+        let g = graph_of(&files);
+        // Each crate has two free fns per name, in sibling files or in a
+        // module and its child, so the name alone is ambiguous: every
+        // call resolves by its module path.
+        let expected = [
+            ("policies::prio::naive::check", "policies::prio::volume"),
+            ("policies::prio::oracle", "policies::prio::naive::volume"),
+            ("sched::cost::f_oracle", "policies::prio::naive::volume"),
+            ("sched::cost::f_term", "policies::prio::volume"),
+            ("sim::c::go", "sim::a::f"),
+            ("sim::c::go", "sim::b::f"),
+        ];
+        let expected: Vec<(String, String)> =
+            expected.iter().map(|&(a, b)| (a.to_string(), b.to_string())).collect();
+        assert_eq!(edge_ids(&g), expected);
     }
 
     #[test]

@@ -82,3 +82,43 @@ fn engine_step_reaches_the_event_queue_and_aggregates() {
         assert!(seen[idx(&g, target)], "RunLane::step reaches {reached} fns, not {target}");
     }
 }
+
+/// Production dispatch never scans: both greedy decisions reach the
+/// queue aggregates' prefix query and no scan oracle of
+/// `prio::naive`, and the unrelated rule reaches `F'`'s fractional
+/// count. Free fns resolve by module path, which keeps each
+/// `prio` query apart from its `naive` twin of the same name.
+#[test]
+fn greedy_assign_reaches_the_aggregates_and_no_scan() {
+    let g = workspace_graph();
+    for (entry, needs) in [
+        (
+            "sched::greedy::GreedyIdentical::assign",
+            "sim::agg::FlatAggregates::before",
+        ),
+        (
+            "sched::greedy::GreedyUnrelated::assign",
+            "policies::prio::frac_count_larger",
+        ),
+    ] {
+        let seen = reach(&g, entry);
+        let reached = seen.iter().filter(|&&s| s).count();
+        for target in ["sim::agg::FlatAggregates::before", needs] {
+            assert!(
+                seen[idx(&g, target)],
+                "{entry} reaches {reached} fns, not {target}"
+            );
+        }
+        let scans: Vec<&str> = g
+            .nodes
+            .iter()
+            .zip(&seen)
+            .filter(|&(n, &s)| s && n.id.starts_with("policies::prio::naive::"))
+            .map(|(n, _)| n.id.as_str())
+            .collect();
+        assert!(
+            scans.is_empty(),
+            "{entry} reaches the scan oracle: {scans:?}"
+        );
+    }
+}

@@ -109,13 +109,13 @@ impl Probe for DualProbe<'_> {
         let fs: Vec<Time> = self
             .rep_leaf
             .iter()
-            .map(|&l| f_term_post(view, None, job, l))
+            .map(|&l| f_term_post(view, job, l))
             .collect();
         let fps: Vec<Time> = if self.unrelated {
             inst.tree()
                 .leaves()
                 .iter()
-                .map(|&l| f_prime_term(view, None, job, l))
+                .map(|&l| f_prime_term(view, job, l))
                 .collect()
         } else {
             Vec::new()

@@ -5,43 +5,20 @@
 //! processing time and earlier release — including `J_j` itself (§2).
 //! The §3.4 assignment rule and the §3.5/3.6 dual fitting are built from
 //! sums over these sets; this module provides them as view queries.
+//! The engine keys its per-node queue aggregates by this same raw-size
+//! order, so each query is `O(log |Q_v|)`; [`naive`] keeps the scans.
 
-use bct_core::{ClassRounding, Instance, JobId, NodeId, Time};
+use bct_core::{Instance, JobId, NodeId, Time};
 use bct_sim::SimView;
 
-/// Effective size used for priority comparison: the `(1+ε)^k` class
-/// index when rounding is enabled, the raw size otherwise.
-#[inline]
-pub fn effective_size(
-    inst: &Instance,
-    rounding: Option<&ClassRounding>,
-    j: JobId,
-    v: NodeId,
-) -> f64 {
-    let p = inst.p(j, v);
-    match rounding {
-        Some(r) => r.class_of(p) as f64,
-        None => p,
-    }
-}
-
 /// Does `i` have SJF priority over (or equal to) `j` on `v`?
-/// True when `i`'s effective size is smaller, or equal with earlier
+/// True when `i`'s size `p_{i,v}` is smaller, or equal with earlier
 /// release (ties broken by id for determinism).
-pub fn sjf_precedes_or_eq(
-    inst: &Instance,
-    rounding: Option<&ClassRounding>,
-    v: NodeId,
-    i: JobId,
-    j: JobId,
-) -> bool {
+pub fn sjf_precedes_or_eq(inst: &Instance, v: NodeId, i: JobId, j: JobId) -> bool {
     if i == j {
         return true;
     }
-    let (si, sj) = (
-        effective_size(inst, rounding, i, v),
-        effective_size(inst, rounding, j, v),
-    );
+    let (si, sj) = (inst.p(i, v), inst.p(j, v));
     if si != sj {
         return si < sj;
     }
@@ -52,129 +29,63 @@ pub fn sjf_precedes_or_eq(
     i < j
 }
 
-/// Can the engine's queue aggregates answer queries for this requested
-/// rounding? They can exactly when both sides key priorities the same
-/// way (both raw, or both the same class grid).
-#[inline]
-fn aggregates_usable(requested: Option<&ClassRounding>, view: &SimView<'_>) -> bool {
-    match (requested, view.dispatch_rounding()) {
-        (None, None) => true,
-        (Some(a), Some(b)) => *a == b,
-        _ => false,
-    }
-}
-
 /// `Σ_{J_i ∈ S_{v,j}(t) \ {j}} p^A_{i,v}(t)`: remaining volume of
 /// strictly-preceding jobs queued through `v`. (`J_j`'s own term is
 /// added by callers when the paper's formula includes it — at dispatch
-/// time `J_j` is not yet in any queue.)
-///
-/// `O(log |Q_v|)` via the engine's per-node aggregates when `rounding`
-/// matches the engine's [`SimView::dispatch_rounding`], else an
-/// `O(|Q_v|)` scan ([`naive::s_volume_excl`]).
-pub fn s_volume_excl(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    v: NodeId,
-    j: JobId,
-) -> Time {
-    if aggregates_usable(rounding, view) {
-        let inst = view.instance();
-        let eff = effective_size(inst, rounding, j, v);
-        view.volume_before(v, eff, inst.job(j).release, j.0)
-    } else {
-        naive::s_volume_excl(view, rounding, v, j)
-    }
+/// time `J_j` is not yet in any queue.) `O(log |Q_v|)` via the engine's
+/// per-node aggregates.
+pub fn s_volume_excl(view: &SimView<'_>, v: NodeId, j: JobId) -> Time {
+    let inst = view.instance();
+    view.volume_before(v, inst.p(j, v), inst.job(j).release, j.0)
 }
 
-/// `|{J_i ∈ Q_v(t) : p_{i,v} > p_{j,v}}|`: how many queued jobs have
-/// strictly larger effective size than `j` on `v` — the jobs `j` will
-/// delay by jumping ahead of them.
-///
-/// `O(log |Q_v|)` when `rounding` matches the engine's, else a scan.
-pub fn count_larger(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    v: NodeId,
-    j: JobId,
-) -> usize {
-    if aggregates_usable(rounding, view) {
-        let eff = effective_size(view.instance(), rounding, j, v);
-        view.count_larger(v, eff)
-    } else {
-        naive::count_larger(view, rounding, v, j)
-    }
+/// `|{J_i ∈ Q_v(t) : p_{i,v} > p_{j,v}}|`: how many queued jobs are
+/// strictly larger than `j` on `v` — the jobs `j` will delay by jumping
+/// ahead of them. `O(log |Q_v|)`.
+pub fn count_larger(view: &SimView<'_>, v: NodeId, j: JobId) -> usize {
+    view.count_larger(v, view.instance().p(j, v))
 }
 
 /// `Σ_{J_i ∈ Q_v(t), p_{i,v} > p_{j,v}} p^A_{i,v}(t)/p_{i,v}`: the
 /// *fractional count* of strictly larger jobs at `v` — the unrelated
 /// assignment rule's delay-to-others term at the leaf (§3.4).
-///
-/// `O(log |Q_v|)` when `rounding` matches the engine's, else a scan.
-pub fn frac_count_larger(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    v: NodeId,
-    j: JobId,
-) -> f64 {
-    if aggregates_usable(rounding, view) {
-        let eff = effective_size(view.instance(), rounding, j, v);
-        view.frac_volume_larger(v, eff)
-    } else {
-        naive::frac_count_larger(view, rounding, v, j)
-    }
+/// `O(log |Q_v|)`.
+pub fn frac_count_larger(view: &SimView<'_>, v: NodeId, j: JobId) -> f64 {
+    view.frac_volume_larger(v, view.instance().p(j, v))
 }
 
 /// Scan-based reference implementations of the queue-volume queries.
 ///
 /// These walk `Q_v(t)` job by job, straight from the paper's set
 /// definitions — `O(|Q_v|)` per call, nothing incremental to be wrong.
-/// They serve three purposes: the runtime fallback when a policy's
-/// rounding differs from the engine's aggregate keying, the oracle the
-/// differential property tests compare the `O(log)` paths against, and
-/// the baseline for the dispatch-scoring benchmark.
+/// They are the oracle the differential tests compare the aggregate
+/// queries against, and the baseline of the dispatch-scoring benchmark;
+/// no production path calls them.
 pub mod naive {
     use super::*;
 
     /// Scan-based [`super::s_volume_excl`].
-    pub fn s_volume_excl(
-        view: &SimView<'_>,
-        rounding: Option<&ClassRounding>,
-        v: NodeId,
-        j: JobId,
-    ) -> Time {
+    pub fn s_volume_excl(view: &SimView<'_>, v: NodeId, j: JobId) -> Time {
         let inst = view.instance();
         view.q(v)
-            .filter(|&i| i != j && sjf_precedes_or_eq(inst, rounding, v, i, j))
+            .filter(|&i| i != j && sjf_precedes_or_eq(inst, v, i, j))
             .map(|i| view.remaining_at(i, v))
             .sum()
     }
 
     /// Scan-based [`super::count_larger`].
-    pub fn count_larger(
-        view: &SimView<'_>,
-        rounding: Option<&ClassRounding>,
-        v: NodeId,
-        j: JobId,
-    ) -> usize {
+    pub fn count_larger(view: &SimView<'_>, v: NodeId, j: JobId) -> usize {
         let inst = view.instance();
-        let sj = effective_size(inst, rounding, j, v);
-        view.q(v)
-            .filter(|&i| i != j && effective_size(inst, rounding, i, v) > sj)
-            .count()
+        let sj = inst.p(j, v);
+        view.q(v).filter(|&i| i != j && inst.p(i, v) > sj).count()
     }
 
     /// Scan-based [`super::frac_count_larger`].
-    pub fn frac_count_larger(
-        view: &SimView<'_>,
-        rounding: Option<&ClassRounding>,
-        v: NodeId,
-        j: JobId,
-    ) -> f64 {
+    pub fn frac_count_larger(view: &SimView<'_>, v: NodeId, j: JobId) -> f64 {
         let inst = view.instance();
-        let sj = effective_size(inst, rounding, j, v);
+        let sj = inst.p(j, v);
         view.q(v)
-            .filter(|&i| i != j && effective_size(inst, rounding, i, v) > sj)
+            .filter(|&i| i != j && inst.p(i, v) > sj)
             .map(|i| view.remaining_at(i, v) / inst.p(i, v))
             .sum()
     }
@@ -208,38 +119,13 @@ mod tests {
         let inst = inst();
         let v = NodeId(1);
         // smaller size precedes
-        assert!(sjf_precedes_or_eq(&inst, None, v, JobId(1), JobId(0)));
-        assert!(!sjf_precedes_or_eq(&inst, None, v, JobId(0), JobId(1)));
+        assert!(sjf_precedes_or_eq(&inst, v, JobId(1), JobId(0)));
+        assert!(!sjf_precedes_or_eq(&inst, v, JobId(0), JobId(1)));
         // equal size: earlier release precedes
-        assert!(sjf_precedes_or_eq(&inst, None, v, JobId(0), JobId(2)));
-        assert!(!sjf_precedes_or_eq(&inst, None, v, JobId(3), JobId(2)));
+        assert!(sjf_precedes_or_eq(&inst, v, JobId(0), JobId(2)));
+        assert!(!sjf_precedes_or_eq(&inst, v, JobId(3), JobId(2)));
         // reflexive
-        assert!(sjf_precedes_or_eq(&inst, None, v, JobId(2), JobId(2)));
-    }
-
-    #[test]
-    fn class_rounding_merges_nearby_sizes() {
-        let mut b = TreeBuilder::new();
-        let r = b.add_child(bct_core::NodeId::ROOT);
-        b.add_child(r);
-        let t = b.build().unwrap();
-        let inst = Instance::new(
-            t,
-            vec![
-                Job::identical(0u32, 0.0, 3.9),
-                Job::identical(1u32, 1.0, 4.0),
-            ],
-        )
-        .unwrap();
-        let v = NodeId(1);
-        // Raw: 3.9 < 4.0 so J0 precedes strictly.
-        assert!(sjf_precedes_or_eq(&inst, None, v, JobId(0), JobId(1)));
-        assert!(!sjf_precedes_or_eq(&inst, None, v, JobId(1), JobId(0)));
-        // Class-rounded with ε = 1 (powers of two): both class 2 -> age decides.
-        let r = ClassRounding::new(1.0);
-        assert!(sjf_precedes_or_eq(&inst, Some(&r), v, JobId(0), JobId(1)));
-        assert!(!sjf_precedes_or_eq(&inst, Some(&r), v, JobId(1), JobId(0)));
-        assert_eq!(effective_size(&inst, Some(&r), JobId(0), v), 2.0);
+        assert!(sjf_precedes_or_eq(&inst, v, JobId(2), JobId(2)));
     }
 }
 
@@ -263,15 +149,15 @@ mod live_tests {
         fn on_arrival(&mut self, view: &SimView<'_>, job: JobId, _leaf: NodeId) {
             if job == self.target {
                 let v = NodeId(1);
-                self.s_vol = Some(s_volume_excl(view, None, v, job));
-                self.larger = Some(count_larger(view, None, v, job));
-                self.frac_larger = Some(frac_count_larger(view, None, v, job));
-                // The aggregate fast path and the scan oracle must agree.
-                assert_eq!(self.s_vol, Some(naive::s_volume_excl(view, None, v, job)));
-                assert_eq!(self.larger, Some(naive::count_larger(view, None, v, job)));
+                self.s_vol = Some(s_volume_excl(view, v, job));
+                self.larger = Some(count_larger(view, v, job));
+                self.frac_larger = Some(frac_count_larger(view, v, job));
+                // The aggregate queries and the scan oracle must agree.
+                assert_eq!(self.s_vol, Some(naive::s_volume_excl(view, v, job)));
+                assert_eq!(self.larger, Some(naive::count_larger(view, v, job)));
                 assert_eq!(
                     self.frac_larger,
-                    Some(naive::frac_count_larger(view, None, v, job))
+                    Some(naive::frac_count_larger(view, v, job))
                 );
             }
         }

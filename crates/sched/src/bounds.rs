@@ -7,25 +7,17 @@
 //! says must stay ≤ 1 once no further jobs arrive (Lemma 3) or always
 //! (Lemmas 1–2, under the stated augmentation).
 
-use bct_core::{ClassRounding, Instance, JobId, NodeId, Setting, Time};
+use bct_core::{Instance, JobId, NodeId, Setting, Time};
 use bct_policies::prio;
 use bct_sim::{HopFinishes, SimView};
 
 /// Lemma 2, measured side: the remaining volume of higher-priority jobs
 /// **currently available to schedule** on `v` (excluding jobs still held
 /// upstream), i.e. `Σ_{J_i ∈ S_{v,j}(t) \ Q_{ρ(v)}(t)} p^A_{i,v}(t)`.
-pub fn lemma2_available_volume(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    v: NodeId,
-    j: JobId,
-) -> Time {
+pub fn lemma2_available_volume(view: &SimView<'_>, v: NodeId, j: JobId) -> Time {
     let inst = view.instance();
     view.q(v)
-        .filter(|&i| {
-            view.current_node_of(i) == Some(v)
-                && prio::sjf_precedes_or_eq(inst, rounding, v, i, j)
-        })
+        .filter(|&i| view.current_node_of(i) == Some(v) && prio::sjf_precedes_or_eq(inst, v, i, j))
         .map(|i| view.remaining_at(i, v))
         .sum()
 }
@@ -92,12 +84,7 @@ fn remaining_identical_nodes<'v>(
 /// `s` is taken as the minimum speed over the remaining identical nodes
 /// (the lemma's uniform `s` generalized conservatively). Returns `None`
 /// if the job is complete or past its identical nodes.
-pub fn phi(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    epsilon: f64,
-    j: JobId,
-) -> Option<Time> {
+pub fn phi(view: &SimView<'_>, epsilon: f64, j: JobId) -> Option<Time> {
     if !view.released(j) || view.completion(j).is_some() {
         return None;
     }
@@ -116,7 +103,7 @@ pub fn phi(
         let d_vj = (k - hop + 1) as f64;
         let s_vol: Time = view
             .q(v)
-            .filter(|&i| prio::sjf_precedes_or_eq(inst, rounding, v, i, j))
+            .filter(|&i| prio::sjf_precedes_or_eq(inst, v, i, j))
             .map(|i| view.remaining_at(i, v))
             .sum();
         let term = s_vol + 2.0 / epsilon * (d_j - d_vj) * p_j;
@@ -130,7 +117,6 @@ pub fn phi(
 /// (entry-node wait, interior bound, leaf wait).
 pub fn lemma4_segments(
     view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
     epsilon: f64,
     j: JobId,
     leaf: NodeId,
@@ -141,14 +127,14 @@ pub fn lemma4_segments(
     let s_leaf = view.speed(leaf);
     let entry: Time = view
         .q(r)
-        .filter(|&i| prio::sjf_precedes_or_eq(inst, rounding, r, i, j))
+        .filter(|&i| prio::sjf_precedes_or_eq(inst, r, i, j))
         .map(|i| view.remaining_at(i, r))
         .sum::<Time>()
         / s_r;
     let interior = lemma1_bound(epsilon, inst.job(j).size, inst.tree().d_v(leaf));
     let leaf_wait: Time = view
         .q(leaf)
-        .filter(|&i| prio::sjf_precedes_or_eq(inst, rounding, leaf, i, j))
+        .filter(|&i| prio::sjf_precedes_or_eq(inst, leaf, i, j))
         .map(|i| view.remaining_at(i, leaf))
         .sum::<Time>()
         / s_leaf;
@@ -221,7 +207,7 @@ mod tests {
     impl Probe for PhiCheck {
         fn on_arrival(&mut self, view: &SimView<'_>, job: JobId, _leaf: NodeId) {
             if job == self.target {
-                self.phi_at_arrival = phi(view, None, self.epsilon, job);
+                self.phi_at_arrival = phi(view, self.epsilon, job);
                 self.arrival_time = Some(view.now());
             }
         }
@@ -276,7 +262,7 @@ mod tests {
         impl Probe for Cap {
             fn on_arrival(&mut self, view: &SimView<'_>, job: JobId, _leaf: NodeId) {
                 if job == JobId(1) {
-                    self.vol_v2 = Some(lemma2_available_volume(view, None, NodeId(2), job));
+                    self.vol_v2 = Some(lemma2_available_volume(view, NodeId(2), job));
                 }
             }
         }
@@ -309,7 +295,7 @@ mod tests {
         impl Probe for Cap {
             fn on_arrival(&mut self, view: &SimView<'_>, job: JobId, leaf: NodeId) {
                 if job == JobId(0) {
-                    self.segs = Some(lemma4_segments(view, None, 1.0, job, leaf));
+                    self.segs = Some(lemma4_segments(view, 1.0, job, leaf));
                 }
             }
         }

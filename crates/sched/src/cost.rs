@@ -17,54 +17,37 @@
 //! `γ_{v,j,∞}`) are built from these exact expressions, so they live in
 //! one place.
 //!
-//! Each term costs two [`bct_policies::prio`] queue queries — `O(log
-//! |Q_v|)` against an engine maintaining matching queue aggregates
-//! (`SimConfig::dispatch_rounding` equal to the `rounding` passed
-//! here), `O(|Q_v|)` scans otherwise. `F` depends on the leaf only
-//! through its entry node, so a caller scoring every leaf evaluates it
-//! once per entry node with [`f_term_at`]: `|R|` evaluations per
-//! decision, not `|L|`.
+//! Each term costs two [`bct_policies::prio`] queue queries, each
+//! `O(log |Q_v|)` against the engine's per-node queue aggregates. `F`
+//! depends on the leaf only through its entry node, so a caller scoring
+//! every leaf evaluates it once per entry node with [`f_term_at`]: `|R|`
+//! evaluations per decision, not `|L|`.
 
-use bct_core::{ClassRounding, JobId, NodeId, Time};
+use bct_core::{JobId, NodeId, Time};
 use bct_policies::prio;
 use bct_sim::SimView;
 
 /// `F(j,v)` — the entry-node (root-adjacent) cost term. `v` is the
 /// candidate leaf; the term is evaluated at `R(v)`.
-pub fn f_term(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    j: JobId,
-    leaf: NodeId,
-) -> Time {
-    f_term_at(view, rounding, j, view.entry_node(j, leaf))
+pub fn f_term(view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
+    f_term_at(view, j, view.entry_node(j, leaf))
 }
 
 /// `F(j,v)` for every leaf `v` with entry node `R(v) = r` — the same
 /// value [`f_term`] returns for each of them, computed once.
-pub fn f_term_at(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    j: JobId,
-    r: NodeId,
-) -> Time {
+pub fn f_term_at(view: &SimView<'_>, j: JobId, r: NodeId) -> Time {
     let p_j = view.instance().p(j, r);
-    let s_vol = prio::s_volume_excl(view, rounding, r, j) + p_j; // S includes J_j
-    let larger = prio::count_larger(view, rounding, r, j) as f64;
+    let s_vol = prio::s_volume_excl(view, r, j) + p_j; // S includes J_j
+    let larger = prio::count_larger(view, r, j) as f64;
     s_vol + p_j * larger
 }
 
 /// `F'(j,v)` — the leaf cost term of the unrelated rule.
-pub fn f_prime_term(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    j: JobId,
-    leaf: NodeId,
-) -> Time {
+pub fn f_prime_term(view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
     let inst = view.instance();
     let p_jv = inst.p(j, leaf);
-    let s_vol = prio::s_volume_excl(view, rounding, leaf, j) + p_jv; // S includes J_j
-    let frac_larger = prio::frac_count_larger(view, rounding, leaf, j);
+    let s_vol = prio::s_volume_excl(view, leaf, j) + p_jv; // S includes J_j
+    let frac_larger = prio::frac_count_larger(view, leaf, j);
     s_vol + p_jv * frac_larger
 }
 
@@ -81,17 +64,12 @@ pub fn distance_term(epsilon: f64, p_j: Time, d_v: u32) -> Time {
 /// job contributes to `F(j,v)` only on the branch it was dispatched to.
 /// (The greedy *decision* uses [`f_term`], which hypothetically assigns
 /// the job to every candidate.)
-pub fn f_term_post(
-    view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
-    j: JobId,
-    leaf: NodeId,
-) -> Time {
+pub fn f_term_post(view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
     let inst = view.instance();
     let r = view.entry_node(j, leaf);
     let p_j = inst.p(j, r);
-    let s_vol = prio::s_volume_excl(view, rounding, r, j) + view.remaining_at(j, r);
-    let larger = prio::count_larger(view, rounding, r, j) as f64;
+    let s_vol = prio::s_volume_excl(view, r, j) + view.remaining_at(j, r);
+    let larger = prio::count_larger(view, r, j) as f64;
     s_vol + p_j * larger
 }
 
@@ -115,8 +93,8 @@ mod tests {
         fn on_arrival(&mut self, view: &SimView<'_>, job: JobId, _leaf: NodeId) {
             if job == self.target {
                 for &leaf in view.instance().tree().leaves() {
-                    self.f.push(f_term(view, None, job, leaf));
-                    self.f_prime.push(f_prime_term(view, None, job, leaf));
+                    self.f.push(f_term(view, job, leaf));
+                    self.f_prime.push(f_prime_term(view, job, leaf));
                 }
             }
         }

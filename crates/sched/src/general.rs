@@ -24,36 +24,6 @@ use bct_sim::{SimConfig, SimOutcome, Simulation};
 
 use crate::greedy::{GreedyIdentical, GreedyUnrelated};
 
-/// Configuration of the general-tree algorithm.
-#[derive(Clone, Debug)]
-pub struct GeneralConfig {
-    /// The `ε` of the greedy rule and of the paper speed profiles.
-    pub epsilon: f64,
-    /// Use `(1+ε)^k` class-rounded priorities.
-    pub class_rounding: bool,
-    /// Speeds used on the broomstick `T'`. `None` = the paper profile
-    /// for the instance's setting ((1+ε)/(1+ε)², doubled if unrelated).
-    pub tprime_speeds: Option<SpeedProfile>,
-    /// Speeds used on the real tree `T`. `None` = same as `T'` (the
-    /// layered profile transfers: corresponding nodes keep their layer).
-    pub t_speeds: Option<SpeedProfile>,
-    /// Record traces in both runs.
-    pub record_trace: bool,
-}
-
-impl GeneralConfig {
-    /// Defaults for a given `ε`.
-    pub fn new(epsilon: f64) -> GeneralConfig {
-        GeneralConfig {
-            epsilon,
-            class_rounding: false,
-            tprime_speeds: None,
-            t_speeds: None,
-            record_trace: false,
-        }
-    }
-}
-
 /// Outcome of the general-tree algorithm: both coupled runs.
 #[derive(Clone, Debug)]
 pub struct GeneralRun {
@@ -108,12 +78,14 @@ impl GeneralRun {
     }
 }
 
-/// Run the §3.7 general-tree algorithm on `inst`.
+/// Run the §3.7 general-tree algorithm on `inst`: the greedy rule
+/// with parameter `epsilon` (ε) on `T'`, SJF on every node, and both
+/// trees at the paper's speed profile for ε and the instance's setting.
 ///
 /// ```
 /// use bct_core::tree::TreeBuilder;
 /// use bct_core::{Instance, Job, NodeId};
-/// use bct_sched::{run_general, GeneralConfig};
+/// use bct_sched::run_general;
 ///
 /// let mut b = TreeBuilder::new();
 /// let r = b.add_child(NodeId::ROOT);
@@ -125,12 +97,12 @@ impl GeneralRun {
 ///     vec![Job::identical(0u32, 0.0, 2.0), Job::identical(1u32, 0.5, 1.0)],
 /// )?;
 ///
-/// let run = run_general(&inst, &GeneralConfig::new(0.5))?;
+/// let run = run_general(&inst, 0.5)?;
 /// assert!(run.tree_outcome.all_finished());
 /// assert!(run.lemma8_violations(&inst).is_empty()); // T dominates T'
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn run_general(inst: &Instance, cfg: &GeneralConfig) -> Result<GeneralRun, SimError> {
+pub fn run_general(inst: &Instance, epsilon: f64) -> Result<GeneralRun, SimError> {
     assert!(
         !inst.has_origins(),
         "the §3.7 algorithm is defined for root-origin jobs (the paper \
@@ -142,37 +114,24 @@ pub fn run_general(inst: &Instance, cfg: &GeneralConfig) -> Result<GeneralRun, S
         .map_instance(inst)
         .expect("broomstick mapping of a valid instance is valid");
 
-    let default_speeds = match inst.setting() {
-        Setting::Identical => SpeedProfile::paper_identical(cfg.epsilon),
-        Setting::Unrelated => SpeedProfile::paper_unrelated(cfg.epsilon),
+    // The paper profile for the instance's setting ((1+ε)/(1+ε)²,
+    // doubled if unrelated), on T' and on T alike: the layered profile
+    // transfers, as corresponding nodes keep their layer.
+    let speeds = match inst.setting() {
+        Setting::Identical => SpeedProfile::paper_identical(epsilon),
+        Setting::Unrelated => SpeedProfile::paper_unrelated(epsilon),
     };
-    let tprime_speeds = cfg.tprime_speeds.clone().unwrap_or(default_speeds);
-    let t_speeds = cfg.t_speeds.clone().unwrap_or_else(|| tprime_speeds.clone());
-
-    let sjf = if cfg.class_rounding {
-        Sjf::with_classes(bct_core::ClassRounding::new(cfg.epsilon))
-    } else {
-        Sjf::new()
-    };
+    let sjf = Sjf::new();
 
     // Phase 1: greedy on the broomstick.
-    let mut prime_cfg = SimConfig::with_speeds(tprime_speeds);
-    prime_cfg.record_trace = cfg.record_trace;
+    let prime_cfg = SimConfig::with_speeds(speeds.clone());
     let prime_outcome = match inst.setting() {
         Setting::Identical => {
-            let mut g = if cfg.class_rounding {
-                GreedyIdentical::with_classes(cfg.epsilon)
-            } else {
-                GreedyIdentical::new(cfg.epsilon)
-            };
+            let mut g = GreedyIdentical::new(epsilon);
             Simulation::run(&prime_instance, &sjf, &mut g, &mut NoProbe, &prime_cfg)?
         }
         Setting::Unrelated => {
-            let mut g = if cfg.class_rounding {
-                GreedyUnrelated::with_classes(cfg.epsilon)
-            } else {
-                GreedyUnrelated::new(cfg.epsilon)
-            };
+            let mut g = GreedyUnrelated::new(epsilon);
             Simulation::run(&prime_instance, &sjf, &mut g, &mut NoProbe, &prime_cfg)?
         }
     };
@@ -183,14 +142,12 @@ pub fn run_general(inst: &Instance, cfg: &GeneralConfig) -> Result<GeneralRun, S
         .iter()
         .map(|a| bs.orig_leaf_of(a.expect("all jobs dispatched")))
         .collect();
-    let mut t_cfg = SimConfig::with_speeds(t_speeds);
-    t_cfg.record_trace = cfg.record_trace;
     let tree_outcome = Simulation::run(
         inst,
         &sjf,
         &mut FixedAssignment(assignments.clone()),
         &mut NoProbe,
-        &t_cfg,
+        &SimConfig::with_speeds(speeds),
     )?;
 
     Ok(GeneralRun {
@@ -239,7 +196,7 @@ mod tests {
     #[test]
     fn general_run_completes_all_jobs() {
         let inst = Instance::new(figure_tree(), random_jobs(1, 20)).unwrap();
-        let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+        let run = run_general(&inst, 0.5).unwrap();
         assert_eq!(run.tree_outcome.unfinished, 0);
         assert_eq!(run.prime_outcome.unfinished, 0);
         assert_eq!(run.assignments.len(), 20);
@@ -251,7 +208,7 @@ mod tests {
     #[test]
     fn mirrored_assignments_stay_in_the_same_branch() {
         let inst = Instance::new(figure_tree(), random_jobs(2, 30)).unwrap();
-        let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+        let run = run_general(&inst, 0.5).unwrap();
         // The correspondence preserves the root-adjacent subtree: the
         // T' handle index matches the T branch.
         for j in 0..30 {
@@ -265,7 +222,7 @@ mod tests {
     fn lemma8_holds_on_random_instances() {
         for seed in 0..10 {
             let inst = Instance::new(figure_tree(), random_jobs(seed, 25)).unwrap();
-            let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+            let run = run_general(&inst, 0.5).unwrap();
             let viol = run.lemma8_violations(&inst);
             assert!(viol.is_empty(), "seed {seed}: {viol:?}");
         }
@@ -287,7 +244,7 @@ mod tests {
             })
             .collect();
         let inst = Instance::new(t, jobs).unwrap();
-        let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+        let run = run_general(&inst, 0.5).unwrap();
         let viol = run.lemma8_violations(&inst);
         assert!(viol.is_empty(), "{viol:?}");
         assert_eq!(run.tree_outcome.unfinished, 0);
@@ -298,7 +255,7 @@ mod tests {
         // The aggregate corollary of Lemma 8.
         for seed in 20..28 {
             let inst = Instance::new(figure_tree(), random_jobs(seed, 30)).unwrap();
-            let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+            let run = run_general(&inst, 0.5).unwrap();
             let releases: Vec<f64> = inst.jobs().iter().map(|j| j.release).collect();
             let ft = run.tree_outcome.total_flow(&releases);
             let fp = run.prime_outcome.total_flow(&releases);
@@ -310,19 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn class_rounding_variant_runs() {
-        let inst = Instance::new(figure_tree(), random_jobs(3, 15)).unwrap();
-        let mut cfg = GeneralConfig::new(0.5);
-        cfg.class_rounding = true;
-        let run = run_general(&inst, &cfg).unwrap();
-        assert_eq!(run.tree_outcome.unfinished, 0);
-    }
-
-    #[test]
     fn per_job_flow_dominance() {
         // Strong per-job form: each job completes in T no later than T'.
         let inst = Instance::new(figure_tree(), random_jobs(4, 40)).unwrap();
-        let run = run_general(&inst, &GeneralConfig::new(1.0)).unwrap();
+        let run = run_general(&inst, 1.0).unwrap();
         for j in 0..inst.n() {
             let ct = run.tree_outcome.completions[j].unwrap();
             let cp = run.prime_outcome.completions[j].unwrap();

@@ -14,16 +14,14 @@
 //! decision evaluates it once per entry node (once per run of leaves
 //! sharing one, in id order) and adds the per-leaf terms inside the
 //! leaf loop: the `O(1)` distance term, plus `F'` (two `O(log |Q_v|)`
-//! leaf queries) for unrelated endpoints. An identical-endpoint decision
-//! on a tree whose entry nodes own contiguous leaf ranges therefore
-//! costs `O(|R|·log max|Q| + |L|)`, provided the engine maintains queue
-//! aggregates keyed like this rule — configure the run with
-//! `SimConfig::dispatch_rounding` equal to [`GreedyIdentical::rounding`]
-//! / [`GreedyUnrelated::rounding`]. On a mismatch the queue queries
-//! silently degrade to `O(|Q|)` scans (same answers, just slower).
+//! leaf queries) for unrelated endpoints. Every queue query is answered
+//! from the engine's per-node aggregates, keyed by the same raw-size SJF
+//! order the rules compare, so an identical-endpoint decision on a tree
+//! whose entry nodes own contiguous leaf ranges costs
+//! `O(|R|·log max|Q| + |L|)`.
 
 use crate::cost::{distance_term, f_prime_term, f_term, f_term_at};
-use bct_core::{ClassRounding, JobId, NodeId, Time};
+use bct_core::{JobId, NodeId, Time};
 use bct_sim::{AssignmentPolicy, SimView};
 
 /// The first leaf, in id order, that strictly minimizes
@@ -34,7 +32,6 @@ use bct_sim::{AssignmentPolicy, SimView};
 // bct-lint: no_alloc
 fn argmin_leaf(
     view: &SimView<'_>,
-    rounding: Option<&ClassRounding>,
     j: JobId,
     mut score: impl FnMut(Time, NodeId) -> Time,
 ) -> NodeId {
@@ -47,7 +44,7 @@ fn argmin_leaf(
         let f = match memo {
             Some((memo_r, f)) if memo_r == r => f,
             _ => {
-                let f = f_term_at(view, rounding, j, r);
+                let f = f_term_at(view, j, r);
                 memo = Some((r, f));
                 f
             }
@@ -66,28 +63,15 @@ fn argmin_leaf(
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyIdentical {
     epsilon: f64,
-    rounding: Option<ClassRounding>,
     distance_weight: f64,
 }
 
 impl GreedyIdentical {
-    /// Rule with parameter `ε` (controls the distance term weight),
-    /// comparing raw sizes.
+    /// Rule with parameter `ε` (controls the distance term weight).
     pub fn new(epsilon: f64) -> GreedyIdentical {
         assert!(epsilon > 0.0, "epsilon must be positive");
         GreedyIdentical {
             epsilon,
-            rounding: None,
-            distance_weight: 1.0,
-        }
-    }
-
-    /// Same, with `(1+ε)^k` class-rounded priorities (the paper's exact
-    /// setup).
-    pub fn with_classes(epsilon: f64) -> GreedyIdentical {
-        GreedyIdentical {
-            epsilon,
-            rounding: Some(ClassRounding::new(epsilon)),
             distance_weight: 1.0,
         }
     }
@@ -101,18 +85,11 @@ impl GreedyIdentical {
         self
     }
 
-    /// The priority rounding this rule compares sizes under — pass it
-    /// to `SimConfig::with_dispatch_rounding` (or leave the config
-    /// `None` to match [`GreedyIdentical::new`]) for `O(log)` scoring.
-    pub fn rounding(&self) -> Option<ClassRounding> {
-        self.rounding
-    }
-
     /// The score minimized over leaves: `F(j,v) + w·(6/ε²)·d_v·p_j`
     /// (`d_v` generalizes to the job's actual path length for non-root
     /// origins).
     pub fn score(&self, view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
-        self.score_given_f(view, j, leaf, f_term(view, self.rounding.as_ref(), j, leaf))
+        self.score_given_f(view, j, leaf, f_term(view, j, leaf))
     }
 
     /// [`Self::score`] with `F(j,v)` already evaluated.
@@ -135,8 +112,8 @@ impl AssignmentPolicy for GreedyIdentical {
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| {
-            me.score_given_f(view, job, v, f)
+        argmin_leaf(view, job, |f, v| {
+            GreedyIdentical::score_given_f(&me, view, job, v, f)
         })
     }
 }
@@ -145,44 +122,26 @@ impl AssignmentPolicy for GreedyIdentical {
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyUnrelated {
     epsilon: f64,
-    rounding: Option<ClassRounding>,
 }
 
 impl GreedyUnrelated {
-    /// Rule with parameter `ε`, comparing raw sizes.
+    /// Rule with parameter `ε`.
     pub fn new(epsilon: f64) -> GreedyUnrelated {
         assert!(epsilon > 0.0, "epsilon must be positive");
-        GreedyUnrelated {
-            epsilon,
-            rounding: None,
-        }
-    }
-
-    /// Same, with `(1+ε)^k` class-rounded priorities.
-    pub fn with_classes(epsilon: f64) -> GreedyUnrelated {
-        GreedyUnrelated {
-            epsilon,
-            rounding: Some(ClassRounding::new(epsilon)),
-        }
-    }
-
-    /// The priority rounding this rule compares sizes under — pass it
-    /// to `SimConfig::with_dispatch_rounding` for `O(log)` scoring.
-    pub fn rounding(&self) -> Option<ClassRounding> {
-        self.rounding
+        GreedyUnrelated { epsilon }
     }
 
     /// The score minimized over leaves:
     /// `F(j,v) + F'(j,v) + (6/ε²)·d_v·p_j`.
     pub fn score(&self, view: &SimView<'_>, j: JobId, leaf: NodeId) -> Time {
-        self.score_given_f(view, j, leaf, f_term(view, self.rounding.as_ref(), j, leaf))
+        self.score_given_f(view, j, leaf, f_term(view, j, leaf))
     }
 
     /// [`Self::score`] with `F(j,v)` already evaluated; the sum stays
     /// `(F + F') + distance`, as reassociating it changes low bits.
     fn score_given_f(&self, view: &SimView<'_>, j: JobId, leaf: NodeId, f: Time) -> Time {
         let inst = view.instance();
-        f + f_prime_term(view, self.rounding.as_ref(), j, leaf)
+        f + f_prime_term(view, j, leaf)
             + distance_term(
                 self.epsilon,
                 inst.job(j).size,
@@ -199,8 +158,8 @@ impl AssignmentPolicy for GreedyUnrelated {
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
-        argmin_leaf(view, me.rounding.as_ref(), job, |f, v| {
-            me.score_given_f(view, job, v, f)
+        argmin_leaf(view, job, |f, v| {
+            GreedyUnrelated::score_given_f(&me, view, job, v, f)
         })
     }
 }
@@ -335,22 +294,6 @@ mod tests {
         let hog = asg[0].unwrap();
         let small = asg[1].unwrap();
         assert_ne!(hog, small, "small job avoids the hogged machine: {asg:?}");
-    }
-
-    #[test]
-    fn with_classes_matches_raw_on_well_separated_sizes() {
-        let inst = Instance::new(
-            two_branch(),
-            vec![
-                Job::identical(0u32, 0.0, 1.0),
-                Job::identical(1u32, 0.3, 8.0),
-                Job::identical(2u32, 0.6, 1.0),
-            ],
-        )
-        .unwrap();
-        let (a, _) = run_greedy(&inst, GreedyIdentical::new(1.0));
-        let (b, _) = run_greedy(&inst, GreedyIdentical::with_classes(1.0));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -23,5 +23,5 @@ pub mod cost;
 pub mod general;
 pub mod greedy;
 
-pub use general::{run_general, GeneralConfig, GeneralRun};
+pub use general::{run_general, GeneralRun};
 pub use greedy::{GreedyIdentical, GreedyUnrelated};

@@ -1,7 +1,8 @@
 //! Differential tests: the aggregate-backed `O(log)` dispatch scoring
-//! must agree with the scan oracle (`bct_policies::prio::naive`), and
-//! each production leaf decision — which scores an entry node once for
-//! all the leaves below it — must pick the leaf a per-leaf oracle picks.
+//! — the one path production dispatch takes — must agree with the scan
+//! oracle (`bct_policies::prio::naive`), and each production leaf
+//! decision — which scores an entry node once for all the leaves below
+//! it — must pick the leaf a per-leaf oracle picks.
 //!
 //! The exact-equality suites draw every quantity from dyadic rationals
 //! — power-of-two sizes, quarter-integer releases, unit speeds — so all
@@ -11,7 +12,7 @@
 //! summation orders may differ in the last bits.
 
 use bct_core::tree::TreeBuilder;
-use bct_core::{ClassRounding, Instance, Job, JobId, NodeId, SpeedProfile, Tree, TreeMutation};
+use bct_core::{Instance, Job, JobId, NodeId, SpeedProfile, Tree, TreeMutation};
 use bct_policies::prio::{self, naive};
 use bct_policies::{LeastVolume, MinEta, Sjf};
 use bct_sched::cost::{f_prime_term, f_term};
@@ -92,11 +93,23 @@ fn argmin_leaf(leaves: &[NodeId], mut score: impl FnMut(NodeId) -> f64) -> NodeI
     best
 }
 
-/// At every arrival and hop completion, compare the dispatching helpers
-/// (aggregate fast path when the engine's rounding matches) against the
-/// scan oracle for the triggering job at every leaf.
+/// `F(j,v)` at entry node `r`, assembled purely from scan-oracle
+/// queries with `cost.rs`'s formula and float operations.
+fn naive_f(view: &SimView<'_>, j: JobId, r: NodeId) -> f64 {
+    let p_r = view.instance().p(j, r);
+    naive::s_volume_excl(view, r, j) + p_r + p_r * naive::count_larger(view, r, j) as f64
+}
+
+/// `F'(j,v)` at leaf `v`, from scan-oracle queries.
+fn naive_f_prime(view: &SimView<'_>, j: JobId, v: NodeId) -> f64 {
+    let p_v = view.instance().p(j, v);
+    naive::s_volume_excl(view, v, j) + p_v + p_v * naive::frac_count_larger(view, v, j)
+}
+
+/// At every arrival and hop completion, compare the aggregate-backed
+/// queries against the scan oracle for the triggering job at every
+/// leaf.
 struct DiffProbe {
-    rounding: Option<ClassRounding>,
     exact: bool,
     checks: usize,
 }
@@ -112,53 +125,38 @@ impl DiffProbe {
 
     fn check(&mut self, view: &SimView<'_>, j: JobId) {
         let inst = view.instance();
-        let r = self.rounding.as_ref();
         for &leaf in inst.tree().leaves() {
             let entry = inst.entry_node(j, leaf);
             for v in [entry, leaf] {
                 let (fv, nv) = (
-                    prio::s_volume_excl(view, r, v, j),
-                    naive::s_volume_excl(view, r, v, j),
+                    prio::s_volume_excl(view, v, j),
+                    naive::s_volume_excl(view, v, j),
                 );
                 assert!(self.close(fv, nv), "s_volume at {v}: {fv} vs {nv}");
                 assert_eq!(
-                    prio::count_larger(view, r, v, j),
-                    naive::count_larger(view, r, v, j),
+                    prio::count_larger(view, v, j),
+                    naive::count_larger(view, v, j),
                     "count_larger at {v}"
                 );
                 let (ff, nf) = (
-                    prio::frac_count_larger(view, r, v, j),
-                    naive::frac_count_larger(view, r, v, j),
+                    prio::frac_count_larger(view, v, j),
+                    naive::frac_count_larger(view, v, j),
                 );
                 assert!(self.close(ff, nf), "frac_larger at {v}: {ff} vs {nf}");
             }
             // The composed cost terms, against oracles assembled purely
-            // from naive queries (mirroring cost.rs's formulas).
-            let p_r = inst.p(j, entry);
-            let naive_f = naive::s_volume_excl(view, r, entry, j)
-                + p_r
-                + p_r * naive::count_larger(view, r, entry, j) as f64;
-            let fast_f = f_term(view, r, j, leaf);
+            // from naive queries.
+            let (fast_f, naive_f) = (f_term(view, j, leaf), naive_f(view, j, entry));
             assert!(self.close(fast_f, naive_f), "F: {fast_f} vs {naive_f}");
-            let p_v = inst.p(j, leaf);
-            let naive_fp = naive::s_volume_excl(view, r, leaf, j)
-                + p_v
-                + p_v * naive::frac_count_larger(view, r, leaf, j);
-            let fast_fp = f_prime_term(view, r, j, leaf);
+            let (fast_fp, naive_fp) = (f_prime_term(view, j, leaf), naive_f_prime(view, j, leaf));
             assert!(self.close(fast_fp, naive_fp), "F': {fast_fp} vs {naive_fp}");
             self.checks += 1;
         }
         // In the exact regime the argmin choices must coincide too.
         if self.exact {
             let leaves = inst.tree().leaves();
-            let fast_best = argmin_leaf(leaves, |v| f_term(view, r, j, v));
-            let naive_best = argmin_leaf(leaves, |v| {
-                let entry = inst.entry_node(j, v);
-                let p_r = inst.p(j, entry);
-                naive::s_volume_excl(view, r, entry, j)
-                    + p_r
-                    + p_r * naive::count_larger(view, r, entry, j) as f64
-            });
+            let fast_best = argmin_leaf(leaves, |v| f_term(view, j, v));
+            let naive_best = argmin_leaf(leaves, |v| naive_f(view, j, inst.entry_node(j, v)));
             assert_eq!(fast_best, naive_best, "best leaf diverged for {j}");
         }
     }
@@ -173,19 +171,36 @@ impl Probe for DiffProbe {
     }
 }
 
-/// Greedy assignment that re-queries through the dispatching helpers —
-/// drives the run into the same states both paths score.
-struct GreedyByF(Option<ClassRounding>);
+/// Greedy assignment that re-queries through the aggregate-backed cost
+/// terms — drives the run into the states both paths score.
+struct GreedyByF;
 
 impl AssignmentPolicy for GreedyByF {
     fn name(&self) -> &'static str {
         "greedy-by-f"
     }
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
-        let r = self.0.as_ref().cloned();
-        argmin_leaf(view.instance().tree().leaves(), |v| {
-            f_term(view, r.as_ref(), job, v) + f_prime_term(view, r.as_ref(), job, v)
+        argmin_leaf(view.tree().leaves(), |v| {
+            f_term(view, job, v) + f_prime_term(view, job, v)
         })
+    }
+}
+
+/// [`GreedyByF`] scored through the scan oracle alone, on a run that
+/// maintains no aggregates.
+struct GreedyByNaive;
+
+impl AssignmentPolicy for GreedyByNaive {
+    fn name(&self) -> &'static str {
+        "greedy-by-naive"
+    }
+    fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
+        argmin_leaf(view.tree().leaves(), |v| {
+            naive_f(view, job, view.entry_node(job, v)) + naive_f_prime(view, job, v)
+        })
+    }
+    fn needs_aggregates(&self) -> bool {
+        false
     }
 }
 
@@ -201,29 +216,16 @@ enum Rule {
 
 impl Rule {
     /// Every production rule the sweeps and `bct serve` can dispatch
-    /// with. `with_classes(1.0)` matches the class-rounded engine
-    /// aggregates of the suites below (fast path) and mismatches the
-    /// raw ones (scan path). Distance weight 0 makes every leaf under
-    /// one entry node tie, so the first-strict-minimum rule decides.
-    fn all() -> [Rule; 7] {
+    /// with. Distance weight 0 makes every leaf under one entry node
+    /// tie, so the first-strict-minimum rule decides.
+    fn all() -> [Rule; 5] {
         [
             Rule::Identical(GreedyIdentical::new(1.0)),
-            Rule::Identical(GreedyIdentical::with_classes(1.0)),
             Rule::Identical(GreedyIdentical::new(1.0).with_distance_weight(0.0)),
             Rule::Unrelated(GreedyUnrelated::new(2.0)),
-            Rule::Unrelated(GreedyUnrelated::with_classes(1.0)),
             Rule::LeastVolume,
             Rule::MinEta,
         ]
-    }
-
-    /// The engine rounding that gives this rule's queries the fast path.
-    fn rounding(&self) -> Option<ClassRounding> {
-        match self {
-            Rule::Identical(g) => g.rounding(),
-            Rule::Unrelated(g) => g.rounding(),
-            Rule::LeastVolume | Rule::MinEta => None,
-        }
     }
 
     /// The production decision.
@@ -314,26 +316,15 @@ impl AssignmentPolicy for OracleDispatch {
     }
 }
 
-/// Run `inst` under greedy dispatch with the engine's aggregates keyed
-/// by `engine_rounding`, checking every query against the oracle with
-/// `query_rounding` and every production decision against its per-leaf
+/// Run `inst` under greedy dispatch, checking every query against the
+/// scan oracle and every production decision against its per-leaf
 /// oracle. Returns the number of per-leaf check sites and of checked
 /// decisions.
-fn run_diff(
-    inst: &Instance,
-    engine_rounding: Option<ClassRounding>,
-    query_rounding: Option<ClassRounding>,
-    exact: bool,
-) -> (usize, usize) {
-    let mut cfg = SimConfig::with_speeds(SpeedProfile::unit());
-    cfg.dispatch_rounding = engine_rounding;
-    let mut probe = DiffProbe {
-        rounding: query_rounding.clone(),
-        exact,
-        checks: 0,
-    };
+fn run_diff(inst: &Instance, exact: bool) -> (usize, usize) {
+    let cfg = SimConfig::with_speeds(SpeedProfile::unit());
+    let mut probe = DiffProbe { exact, checks: 0 };
     let mut asg = CheckDecisions {
-        inner: GreedyByF(query_rounding),
+        inner: GreedyByF,
         decisions: 0,
     };
     Simulation::run(inst, &Sjf::new(), &mut asg, &mut probe, &cfg).unwrap();
@@ -355,74 +346,39 @@ fn entry_runs_interleave(t: &Tree) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dyadic data, matching rounding config: the aggregate fast path
-    /// must agree with the scan oracle bit for bit.
+    /// Dyadic data: the aggregate queries must agree with the scan
+    /// oracle bit for bit.
     #[test]
-    fn exact_agreement_on_dyadic_instances(
-        seed in 0u64..5000,
-        unrelated in any::<bool>(),
-        classes in any::<bool>(),
-    ) {
+    fn exact_agreement_on_dyadic_instances(seed in 0u64..5000, unrelated in any::<bool>()) {
         let inst = random_instance(seed, unrelated, true);
-        let r = classes.then(|| ClassRounding::new(1.0));
-        let (checks, decisions) = run_diff(&inst, r.clone(), r, true);
+        let (checks, decisions) = run_diff(&inst, true);
         prop_assert!(checks > 0, "probe never fired");
         prop_assert_eq!(decisions, Rule::all().len() * inst.n());
     }
 
-    /// Mismatched rounding config: the helpers must fall back to the
-    /// scan (trivially equal — this pins the fallback, and that the
-    /// aggregate bookkeeping never corrupts a run it isn't queried on).
-    #[test]
-    fn mismatched_rounding_falls_back_to_scan(
-        seed in 0u64..5000,
-        engine_classes in any::<bool>(),
-    ) {
-        let inst = random_instance(seed, false, true);
-        let engine = engine_classes.then(|| ClassRounding::new(1.0));
-        let query = if engine_classes { None } else { Some(ClassRounding::new(1.0)) };
-        let (checks, _) = run_diff(&inst, engine, query, true);
-        prop_assert!(checks > 0);
-    }
-
     /// Arbitrary floats: agreement within summation-order tolerance.
     #[test]
-    fn tolerant_agreement_on_arbitrary_instances(
-        seed in 0u64..5000,
-        unrelated in any::<bool>(),
-        classes in any::<bool>(),
-    ) {
+    fn tolerant_agreement_on_arbitrary_instances(seed in 0u64..5000, unrelated in any::<bool>()) {
         let inst = random_instance(seed, unrelated, false);
-        let r = classes.then(|| ClassRounding::new(0.5));
-        let (checks, _) = run_diff(&inst, r.clone(), r, false);
+        let (checks, _) = run_diff(&inst, false);
         prop_assert!(checks > 0);
     }
 }
 
-/// The engine must produce identical schedules whether or not it
-/// maintains aggregates under any rounding — the aggregate structure is
-/// read-only bookkeeping as far as scheduling is concerned.
+/// A whole run dispatched through the aggregate queries must equal one
+/// dispatched through the scan oracle on a run that maintains no
+/// aggregates at all: the aggregates change query costs, never the
+/// schedule.
 #[test]
 fn aggregates_never_change_the_schedule() {
     for seed in 0..20u64 {
         let inst = random_instance(seed, seed % 2 == 0, false);
-        let mut outs = Vec::new();
-        for rounding in [None, Some(ClassRounding::new(1.0))] {
-            let mut cfg = SimConfig::with_speeds(SpeedProfile::unit());
-            cfg.dispatch_rounding = rounding;
-            // Fixed queries (raw sizes) so the dispatch decisions are
-            // identical; only the engine-side bookkeeping differs.
-            let out = Simulation::run(
-                &inst,
-                &Sjf::new(),
-                &mut GreedyByF(None),
-                &mut bct_sim::policy::NoProbe,
-                &cfg,
-            )
-            .unwrap();
-            outs.push((out.assignments, out.completions));
-        }
-        assert_eq!(outs[0], outs[1], "seed {seed}");
+        let cfg = SimConfig::with_speeds(SpeedProfile::unit());
+        let run = |asg: &mut dyn AssignmentPolicy| {
+            let out = Simulation::run(&inst, &Sjf::new(), asg, &mut NoProbe, &cfg).unwrap();
+            (out.assignments, out.completions)
+        };
+        assert_eq!(run(&mut GreedyByF), run(&mut GreedyByNaive), "seed {seed}");
     }
 }
 
@@ -461,9 +417,8 @@ fn production_rules_match_oracles_under_add_leaf() {
             })
             .collect();
         for rule in Rule::all() {
-            let mut cfg =
+            let cfg =
                 SimConfig::with_speeds(SpeedProfile::unit()).with_mutations(mutations.clone());
-            cfg.dispatch_rounding = rule.rounding();
             let run = |asg: &mut dyn AssignmentPolicy| {
                 let out = Simulation::run(&inst, &Sjf::new(), asg, &mut NoProbe, &cfg).unwrap();
                 assert_eq!(out.unfinished, 0, "seed {seed} {rule:?}");

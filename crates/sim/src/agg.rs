@@ -1,7 +1,7 @@
 //! Per-node priority-indexed queue aggregates.
 //!
 //! Every node `v` keeps its live queue `Q_v(t)` indexed by SJF priority
-//! (effective size, release, id). Each entry stores the job's remaining
+//! (size `p_{j,v}`, release, id). Each entry stores the job's remaining
 //! work at `v` and its *fractional* remainder `rem/p`, and range sums
 //! `(count, Σrem, Σrem/p)` are maintained so the §3.4 assignment-cost
 //! terms reduce to two sub-linear prefix queries per node instead of an
@@ -29,12 +29,12 @@ use bct_core::Time;
 use std::cmp::Ordering;
 
 /// SJF priority key of a queued job at a node, ascending = served
-/// earlier: effective size (class index when rounding is configured,
-/// raw `p_{j,v}` otherwise), then release time, then job id. All
+/// earlier: the job's raw size `p_{j,v}` at the node, then release
+/// time, then job id — the one order dispatch scoring asks for. All
 /// components are finite, so the ordering is total.
 #[derive(Clone, Copy, Debug)]
 pub struct QueueKey {
-    /// Effective size of the job at the node.
+    /// The job's size `p_{j,v}` at the node.
     pub eff: f64,
     /// Release time (tie-break).
     pub release: Time,
@@ -126,12 +126,12 @@ impl FlatNode {
         self.keys.binary_search_by(|k| k.cmp(key))
     }
 
-    /// Pre-size for `per_queue` simultaneous entries.
-    fn reserve(&mut self, per_queue: usize) {
-        self.keys.reserve(per_queue.saturating_sub(self.keys.len()));
-        self.rem.reserve(per_queue.saturating_sub(self.rem.len()));
-        self.p.reserve(per_queue.saturating_sub(self.p.len()));
-        let blocks = per_queue.div_ceil(BLOCK);
+    /// Pre-size for `entries` simultaneous entries.
+    fn reserve(&mut self, entries: usize) {
+        self.keys.reserve(entries.saturating_sub(self.keys.len()));
+        self.rem.reserve(entries.saturating_sub(self.rem.len()));
+        self.p.reserve(entries.saturating_sub(self.p.len()));
+        let blocks = entries.div_ceil(BLOCK);
         self.sums.reserve(blocks.saturating_sub(self.sums.len()));
     }
 
@@ -196,11 +196,15 @@ impl FlatAggregates {
         }
     }
 
-    /// Pre-size every queue for `per_queue` simultaneous entries.
-    pub fn reserve(&mut self, per_queue: usize) {
-        for n in &mut self.nodes {
-            n.reserve(per_queue);
-        }
+    /// Pre-size queue `v` for `entries` simultaneous entries.
+    pub fn reserve(&mut self, v: usize, entries: usize) {
+        self.nodes[v].reserve(entries);
+    }
+
+    /// Entries queue `v` holds without reallocating.
+    #[cfg(test)]
+    pub fn capacity(&self, v: usize) -> usize {
+        self.nodes[v].keys.capacity()
     }
 
     /// Insert a job entering `Q_v` with full requirement `p` remaining.
@@ -274,8 +278,8 @@ impl FlatAggregates {
         acc
     }
 
-    /// Aggregates over entries with effective size strictly greater
-    /// than `eff` (any release / id) — a key-order suffix. Summed
+    /// Aggregates over entries with size strictly greater than `eff`
+    /// (any release / id) — a key-order suffix. Summed
     /// directly (leading partial block entry by entry, then whole
     /// blocks), never as `totals − prefix`, so no cancellation error
     /// sneaks in.

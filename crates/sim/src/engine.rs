@@ -6,9 +6,7 @@ use crate::policy::{NodePolicy, Probe, StatefulPolicy};
 use crate::scratch::SimScratch;
 use crate::state::SimState;
 use crate::trace::{Trace, TraceKind};
-use bct_core::{
-    ClassRounding, CoreError, Instance, JobId, NodeId, Setting, SpeedProfile, Time, TreeMutation,
-};
+use bct_core::{CoreError, Instance, JobId, NodeId, Setting, SpeedProfile, Time, TreeMutation};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::mem;
@@ -37,14 +35,8 @@ pub struct SimConfig {
     pub speeds: SpeedProfile,
     /// Record a full [`Trace`] in the outcome.
     pub record_trace: bool,
-    /// Stop at this time, leaving later work unfinished.
-    pub horizon: Option<Time>,
     /// Hard cap on processed events (runaway guard).
     pub max_events: u64,
-    /// Class rounding the per-node queue aggregates are keyed by
-    /// (`None` = raw sizes). Dispatch policies whose own rounding
-    /// matches get sub-linear scoring queries instead of queue scans.
-    pub dispatch_rounding: Option<ClassRounding>,
     /// Topology mutation schedule, sorted by time. Empty (the default)
     /// keeps the run fully static on the instance's tree — the
     /// pre-dynamic code path, byte-identical outputs included. A
@@ -56,19 +48,17 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Unit speeds, no trace, no horizon.
+    /// Unit speeds, no trace.
     pub fn unit() -> SimConfig {
         SimConfig::with_speeds(SpeedProfile::unit())
     }
 
-    /// Given speeds, no trace, no horizon.
+    /// Given speeds, no trace.
     pub fn with_speeds(speeds: SpeedProfile) -> SimConfig {
         SimConfig {
             speeds,
             record_trace: false,
-            horizon: None,
             max_events: 1 << 34,
-            dispatch_rounding: None,
             mutations: Vec::new(),
         }
     }
@@ -76,12 +66,6 @@ impl SimConfig {
     /// Enable trace recording.
     pub fn traced(mut self) -> SimConfig {
         self.record_trace = true;
-        self
-    }
-
-    /// Key the queue aggregates by class index under `rounding`.
-    pub fn with_dispatch_rounding(mut self, rounding: ClassRounding) -> SimConfig {
-        self.dispatch_rounding = Some(rounding);
         self
     }
 
@@ -204,7 +188,7 @@ impl Simulation {
         let track_aggs = assignment.needs_aggregates() || probe.needs_aggregates();
         let dynamic = !cfg.mutations.is_empty();
         let mut lane = RunLane::start(scratch, instance, track_aggs, dynamic, cfg)?;
-        match lane.run_until(cfg.horizon, node_policy, assignment, probe, cfg) {
+        match lane.run_until(None, node_policy, assignment, probe, cfg) {
             Ok(()) => Ok(lane.finish(scratch)),
             Err(e) => {
                 lane.abort(scratch);
@@ -362,7 +346,7 @@ pub(crate) struct SuspendedLane {
 /// [`RunLane::start`] takes the scratch's buffers and
 /// [`RunLane::run_until`] processes every event up to a time, one
 /// [`RunLane::step`] at a time. [`Simulation::run_with_scratch`] runs
-/// a lane to its horizon, then [`RunLane::finish`] (or
+/// a lane until no event is left, then [`RunLane::finish`] (or
 /// [`RunLane::abort`] after an error) hands every buffer back. A
 /// [`crate::SimSession`] instead [`RunLane::suspend`]s its lane between
 /// commands and [`RunLane::resume`]s it for the next one.
@@ -399,13 +383,7 @@ impl<'a> RunLane<'a> {
         cfg.speeds
             .materialize_into(instance.tree(), &mut scratch.speeds)
             .map_err(SimError::BadSpeeds)?;
-        let st = SimState::from_scratch(
-            instance,
-            cfg.dispatch_rounding,
-            track_aggs,
-            dynamic,
-            scratch,
-        );
+        let st = SimState::from_scratch(instance, track_aggs, dynamic, scratch);
         let trace = cfg.record_trace.then(Trace::default);
         let mut evq = mem::take(&mut scratch.evq);
         evq.reset();
@@ -443,7 +421,6 @@ impl<'a> RunLane<'a> {
         scratch: &mut SimScratch,
         instance: &'a Instance,
         track_aggs: bool,
-        cfg: &SimConfig,
         saved: &SuspendedLane,
     ) -> RunLane<'a> {
         let mut jobs = mem::take(&mut scratch.jobs);
@@ -461,7 +438,6 @@ impl<'a> RunLane<'a> {
             jobs,
             q_members: mem::take(&mut scratch.q_members),
             aggs: mem::take(&mut scratch.aggs),
-            rounding: cfg.dispatch_rounding,
             track_aggs,
             identical: instance.setting() == Setting::Identical,
             frac_sum: saved.frac_sum,

@@ -91,8 +91,7 @@ impl Index<usize> for HopFinishes {
 /// Everything measured during a run.
 ///
 /// Vectors are indexed by job id; entries are `None` for jobs that had
-/// not completed when the run stopped (only possible with an explicit
-/// horizon).
+/// not completed when the run stopped.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimOutcome {
     /// Completion time `C_j` per job.
@@ -113,7 +112,7 @@ pub struct SimOutcome {
     pub events: u64,
     /// Final simulation time.
     pub makespan: Time,
-    /// Number of jobs not finished at the horizon.
+    /// Number of jobs not finished when the run stopped.
     pub unfinished: usize,
     /// Optional full trace (when requested in the config).
     pub trace: Option<Trace>,
@@ -128,7 +127,7 @@ impl SimOutcome {
     /// Total flow time `Σ_j (C_j − r_j)`.
     ///
     /// # Panics
-    /// Panics if any job is unfinished (use a horizon-free run).
+    /// Panics if any job is unfinished.
     pub fn total_flow(&self, releases: &[Time]) -> Time {
         assert_eq!(self.unfinished, 0, "total flow undefined with unfinished jobs");
         self.completions

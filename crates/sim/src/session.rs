@@ -124,8 +124,7 @@ impl SimSession {
     /// Resume the suspended lane, run `f` on it, and suspend it again,
     /// whatever `f` returns.
     fn with_lane<R>(&mut self, f: impl FnOnce(&mut RunLane<'_>, &SimConfig) -> R) -> R {
-        let mut lane =
-            RunLane::resume(&mut self.scratch, &self.instance, true, &self.cfg, &self.saved);
+        let mut lane = RunLane::resume(&mut self.scratch, &self.instance, true, &self.saved);
         let r = f(&mut lane, &self.cfg);
         self.saved = lane.suspend(&mut self.scratch);
         r
@@ -231,20 +230,31 @@ impl SimSession {
         self.with_lane(|lane, _| lane.state().state_digest())
     }
 
-    /// Pre-reserve every pooled buffer for `jobs` more submissions
-    /// whose root→leaf paths have at most `max_hops` nodes, so
-    /// steady-state decisions allocate nothing.
+    /// Pre-reserve the pooled buffers for `jobs` more submissions whose
+    /// root→leaf paths have at most `max_hops` nodes, so steady-state
+    /// decisions allocate nothing. The job table takes `jobs` rows and
+    /// `jobs·max_hops` hop slots. Each node's queue-membership list,
+    /// waiting heap and aggregates take the node's share of the jobs,
+    /// `⌈jobs·|L(v)|/|L|⌉` for the `L(v)` leaves below it: the shares
+    /// sum to about `jobs` times the mean path length, not `jobs·|V|`.
+    /// A queue that outgrows its share grows on demand.
     pub fn reserve(&mut self, jobs: usize, max_hops: usize) {
         self.instance.reserve_jobs(jobs);
         self.scratch.jobs.reserve_rows(jobs, max_hops);
-        for q in &mut self.scratch.q_members {
-            q.reserve(jobs);
+        let tree = self.tree();
+        let mut below = vec![0usize; tree.len()];
+        for &leaf in tree.leaves() {
+            for &v in tree.leaf_path(leaf) {
+                below[v.as_usize()] += 1;
+            }
         }
-        for ns in &mut self.scratch.nodes {
-            ns.heap.reserve(jobs);
+        let leaves = tree.num_leaves().max(1);
+        for (v, &n) in below.iter().enumerate() {
+            let share = (jobs * n).div_ceil(leaves);
+            self.scratch.q_members[v].reserve(share);
+            self.scratch.nodes[v].heap.reserve(share);
+            self.scratch.aggs.reserve(v, share);
         }
-        // Aggregates: any single queue can hold every unfinished job.
-        self.scratch.aggs.reserve(jobs);
         // Pending finish events are bounded by busy nodes, but stale
         // (version-superseded) entries linger until popped; give them
         // headroom proportional to the tree.
@@ -710,6 +720,41 @@ mod tests {
         ));
         assert_eq!(s.epoch(), 0);
         assert_eq!(s.state_hash(), h);
+    }
+
+    /// `reserve` sizes each node's queue list, waiting heap and
+    /// aggregates for the node's share of the jobs: the summed capacity
+    /// of each is `O(jobs·hops + |V|)`, not `jobs·|V|`, and a node never
+    /// gets less than its share.
+    #[test]
+    fn reserve_sizes_node_queues_by_leaf_share() {
+        let tree = Shape::FatTree(4, 4, 4).build();
+        let (nodes, leaves) = (tree.len(), tree.num_leaves());
+        let (jobs, hops) = (1000, 3);
+        let mut s = SimSession::new(tree.clone(), SpeedProfile::unit()).unwrap();
+        s.reserve(jobs, hops);
+        let sc = &s.scratch;
+        let bound = 2 * (jobs * hops + nodes);
+        let total = |cap: &dyn Fn(usize) -> usize| (0..nodes).map(cap).sum::<usize>();
+        let sums = [
+            ("queue lists", total(&|v| sc.q_members[v].capacity())),
+            ("heaps", total(&|v| sc.nodes[v].heap.capacity())),
+            ("aggregates", total(&|v| sc.aggs.capacity(v))),
+        ];
+        for (what, sum) in sums {
+            assert!(
+                sum <= bound,
+                "{what}: {sum} slots for {jobs} jobs x {hops} hops"
+            );
+        }
+        let entries = tree.root_adjacent().iter().map(|&r| (r, jobs / 4));
+        let ends = tree.leaves().iter().map(|&l| (l, jobs.div_ceil(leaves)));
+        for (v, share) in entries.chain(ends) {
+            let v = v.as_usize();
+            assert!(sc.q_members[v].capacity() >= share, "queue list of {v}");
+            assert!(sc.nodes[v].heap.capacity() >= share, "heap of {v}");
+            assert!(sc.aggs.capacity(v) >= share, "aggregates of {v}");
+        }
     }
 
     #[test]

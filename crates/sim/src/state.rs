@@ -31,7 +31,7 @@ use crate::policy::{KeyCtx, NodePolicy, PolicyKey};
 use crate::scratch::SimScratch;
 use bct_core::instance::Setting;
 use bct_core::time::{approx_le, snap_nonneg};
-use bct_core::{ClassRounding, Instance, Job, JobId, NodeId, Time, Tree};
+use bct_core::{Instance, Job, JobId, NodeId, Time, Tree};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::mem;
@@ -223,13 +223,9 @@ pub struct SimState<'a> {
     pub(crate) jobs: JobTable,
     /// `Q_v(t)` membership: `(job, hop index of v in the job's path)`.
     pub(crate) q_members: Vec<Vec<(JobId, u32)>>,
-    /// Order-statistic aggregates over each `Q_v(t)`, keyed by SJF
-    /// priority under `rounding`.
+    /// Order-statistic aggregates over each `Q_v(t)`, keyed by raw-size
+    /// SJF priority.
     pub(crate) aggs: FlatAggregates,
-    /// The class rounding the aggregates are keyed by (`None` = raw
-    /// sizes); dispatch policies with a matching configuration get
-    /// sub-linear scoring queries.
-    pub(crate) rounding: Option<ClassRounding>,
     /// Whether the aggregates are maintained this run. They only serve
     /// [`SimView`]'s range queries, so when neither the assignment
     /// policy nor the probe declares a need for them, every aggregate
@@ -251,14 +247,10 @@ impl<'a> SimState<'a> {
     /// Fresh state with owned buffers (unit-test convenience);
     /// [`SimState::from_scratch`] is the reusable-buffer path.
     #[cfg(test)]
-    pub(crate) fn new(
-        instance: &'a Instance,
-        speeds: Vec<f64>,
-        rounding: Option<ClassRounding>,
-    ) -> SimState<'a> {
+    pub(crate) fn new(instance: &'a Instance, speeds: Vec<f64>) -> SimState<'a> {
         let mut scratch = SimScratch::new();
         scratch.speeds = speeds;
-        SimState::from_scratch(instance, rounding, true, false, &mut scratch)
+        SimState::from_scratch(instance, true, false, &mut scratch)
     }
 
     /// Build state for a run by *taking* the buffers out of `scratch`
@@ -282,7 +274,6 @@ impl<'a> SimState<'a> {
     /// instead of reallocating mid-run.
     pub(crate) fn from_scratch(
         instance: &'a Instance,
-        rounding: Option<ClassRounding>,
         track_aggs: bool,
         dynamic: bool,
         scratch: &mut SimScratch,
@@ -326,7 +317,6 @@ impl<'a> SimState<'a> {
             jobs,
             q_members,
             aggs,
-            rounding,
             track_aggs,
             identical: instance.setting() == Setting::Identical,
             frac_sum: 0.0,
@@ -521,18 +511,13 @@ impl<'a> SimState<'a> {
         }
     }
 
-    /// The SJF aggregate key of `j` at `v`: class index when rounding is
-    /// configured, raw `p_{j,v}` otherwise, with (release, id)
-    /// tie-breaks — the exact order of `sjf_precedes_or_eq`.
+    /// The SJF aggregate key of `j` at `v`: `p_{j,v}`, with (release,
+    /// id) tie-breaks — the exact order of `sjf_precedes_or_eq`.
     #[inline]
     // bct-lint: no_alloc
     pub(crate) fn queue_key(&self, v: NodeId, j: JobId) -> QueueKey {
-        let p = self.p_at(j, v);
         QueueKey {
-            eff: match &self.rounding {
-                Some(r) => f64::from(r.class_of(p)),
-                None => p,
-            },
+            eff: self.p_at(j, v),
             release: self.jobs.release[j.as_usize()],
             id: j.0,
         }
@@ -1111,15 +1096,6 @@ impl<'s> SimView<'s> {
     // deficit (`live − stored ≤ 0`) is folded in at query time when its
     // key lies in the queried range.
 
-    /// The class rounding the queue aggregates are keyed by. Policies
-    /// must only use the fast queries below when their own rounding
-    /// matches this (same effective-size order), else fall back to
-    /// scanning [`SimView::q`].
-    #[inline]
-    pub fn dispatch_rounding(&self) -> Option<ClassRounding> {
-        self.state.rounding
-    }
-
     /// The aggregate queries below are only valid when the run is
     /// maintaining aggregates; a policy/probe that queries despite
     /// declaring `needs_aggregates() == false` is a contract bug, and
@@ -1133,12 +1109,17 @@ impl<'s> SimView<'s> {
     }
 
     /// `Σ p^A_{i,v}(t)` over queued jobs `i` whose SJF key
-    /// `(eff, release, id)` is strictly before the probe key — the
-    /// higher-priority volume a job with that key would wait behind at
-    /// `v`. A queued job with the probe's exact id is excluded.
-    pub fn volume_before(&self, v: NodeId, eff: f64, release: Time, id: u32) -> Time {
+    /// `(p_{i,v}, release, id)` is strictly before the probe key
+    /// `(size, release, id)` — the higher-priority volume a job with
+    /// that key would wait behind at `v`. A queued job with the probe's
+    /// exact id is excluded.
+    pub fn volume_before(&self, v: NodeId, size: f64, release: Time, id: u32) -> Time {
         self.assert_aggs();
-        let bound = QueueKey { eff, release, id };
+        let bound = QueueKey {
+            eff: size,
+            release,
+            id,
+        };
         let vi = v.as_usize();
         let mut sum = self.state.aggs.before(vi, &bound).sum_rem;
         if let Some((c, _)) = self.state.nodes[vi].current {
@@ -1150,21 +1131,21 @@ impl<'s> SimView<'s> {
         sum
     }
 
-    /// `|{i ∈ Q_v(t) : eff_i > eff}|` — queued jobs of strictly larger
-    /// effective size.
-    pub fn count_larger(&self, v: NodeId, eff: f64) -> usize {
+    /// `|{i ∈ Q_v(t) : p_{i,v} > size}|` — queued jobs strictly larger
+    /// than `size` at `v`.
+    pub fn count_larger(&self, v: NodeId, size: f64) -> usize {
         self.assert_aggs();
-        self.state.aggs.above_eff(v.as_usize(), eff).cnt as usize
+        self.state.aggs.above_eff(v.as_usize(), size).cnt as usize
     }
 
-    /// `Σ p^A_{i,v}(t)/p_{i,v}` over queued jobs of strictly larger
-    /// effective size — the fractional analogue of [`Self::count_larger`].
-    pub fn frac_volume_larger(&self, v: NodeId, eff: f64) -> f64 {
+    /// `Σ p^A_{i,v}(t)/p_{i,v}` over queued jobs strictly larger than
+    /// `size` at `v` — the fractional analogue of [`Self::count_larger`].
+    pub fn frac_volume_larger(&self, v: NodeId, size: f64) -> f64 {
         self.assert_aggs();
         let vi = v.as_usize();
-        let mut sum = self.state.aggs.above_eff(vi, eff).sum_frac;
+        let mut sum = self.state.aggs.above_eff(vi, size).sum_frac;
         if let Some((c, _)) = self.state.nodes[vi].current {
-            if self.state.queue_key(v, c).eff > eff {
+            if self.state.queue_key(v, c).eff > size {
                 let stored = self.state.jobs.rem[c.as_usize()];
                 sum += (self.state.live_rem(c) - stored) / self.state.p_at(c, v);
             }
@@ -1211,7 +1192,7 @@ mod tests {
     }
 
     fn state(inst: &Instance) -> SimState<'_> {
-        SimState::new(inst, vec![1.0; inst.tree().len()], None)
+        SimState::new(inst, vec![1.0; inst.tree().len()])
     }
 
     #[test]
@@ -1289,7 +1270,7 @@ mod tests {
     #[test]
     fn predicted_finish_accounts_for_speed() {
         let inst = fixture();
-        let mut st = SimState::new(&inst, vec![1.0, 2.0, 1.0], None);
+        let mut st = SimState::new(&inst, vec![1.0, 2.0, 1.0]);
         st.admit(JobId(0), NodeId(2));
         st.enqueue(NodeId(1), JobId(0), &SizeOrder);
         assert_eq!(st.predicted_finish(NodeId(1)), Some(2.0)); // 4 work at speed 2
@@ -1315,7 +1296,7 @@ mod tests {
         let inst = fixture();
         let mut scratch = SimScratch::new();
         scratch.speeds = vec![1.0; inst.tree().len()];
-        let mut st = SimState::from_scratch(&inst, None, true, false, &mut scratch);
+        let mut st = SimState::from_scratch(&inst, true, false, &mut scratch);
         st.admit(JobId(0), NodeId(2));
         st.enqueue(NodeId(1), JobId(0), &SizeOrder);
         st.advance(4.0);
@@ -1323,7 +1304,7 @@ mod tests {
         st.release_into(&mut scratch);
         // A state rebuilt from the used scratch starts pristine.
         scratch.speeds = vec![1.0; inst.tree().len()];
-        let st2 = SimState::from_scratch(&inst, None, true, false, &mut scratch);
+        let st2 = SimState::from_scratch(&inst, true, false, &mut scratch);
         assert_eq!(st2.now, 0.0);
         assert_eq!(st2.view().q_len(NodeId(1)), 0);
         assert!(!st2.view().released(JobId(0)));

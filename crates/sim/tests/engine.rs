@@ -6,7 +6,10 @@ use bct_core::{Instance, Job, JobId, NodeId, SpeedProfile, Tree};
 use bct_core::tree::TreeBuilder;
 use bct_sim::policy::NoProbe;
 use bct_sim::reference::run_reference;
-use bct_sim::{invariants, AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimView, Simulation};
+use bct_sim::{
+    invariants, AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimSession, SimView,
+    Simulation,
+};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -195,18 +198,19 @@ fn parallel_subtrees_do_not_interfere() {
 }
 
 #[test]
-fn horizon_stops_early_and_counts_unfinished() {
+fn session_tick_stops_early_and_counts_unfinished() {
     let t = chain_tree(1);
     let leaf = t.leaves()[0];
-    let inst = Instance::new(t, vec![Job::identical(0u32, 0.0, 10.0)]).unwrap();
-    let mut cfg = SimConfig::unit();
-    cfg.horizon = Some(5.0);
-    let out = Simulation::run(&inst, &Sjf, &mut Fixed(vec![leaf]), &mut NoProbe, &cfg).unwrap();
-    assert_eq!(out.unfinished, 1);
-    assert_eq!(out.completions[0], None);
-    assert!((out.makespan - 5.0).abs() < 1e-9);
+    let mut s = SimSession::new(t, SpeedProfile::unit()).unwrap();
+    let mut asg = Fixed(vec![leaf]);
+    let (job, _) = s.submit(0.0, 10.0, &Sjf, &mut asg).unwrap();
+    s.tick(5.0, &Sjf, &mut asg).unwrap();
+    assert_eq!(s.unfinished(), 1);
+    assert_eq!(s.completed(), 0);
+    assert_eq!(s.completion(job), None);
+    assert!((s.now() - 5.0).abs() < 1e-9);
     // count integral: 1 unfinished job for 5 time units.
-    assert!((out.count_integral - 5.0).abs() < 1e-9);
+    assert!((s.count_integral() - 5.0).abs() < 1e-9);
 }
 
 #[test]

@@ -64,7 +64,7 @@ impl NodePolicy for Sjf {
     }
 }
 
-/// Aggregate-driven assignment: first-strict-minimum of the fast-path
+/// Aggregate-driven assignment: first-strict-minimum of the aggregate
 /// queries over the leaves. Turns `track_aggs` on so the warm run
 /// exercises the flat layout's insert/remove/set_rem block rebuilds
 /// inside the measured region (no allocations of its own: it only

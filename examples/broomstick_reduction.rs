@@ -15,7 +15,7 @@
 
 use bandwidth_tree_scheduling::core::render;
 use bandwidth_tree_scheduling::core::{Broomstick, Instance};
-use bandwidth_tree_scheduling::sched::{run_general, GeneralConfig};
+use bandwidth_tree_scheduling::sched::run_general;
 use bandwidth_tree_scheduling::workloads::jobs::{ArrivalProcess, SizeDist, WorkloadSpec};
 use bandwidth_tree_scheduling::workloads::topo;
 use rand::SeedableRng;
@@ -56,7 +56,7 @@ fn main() {
         unrelated: None,
     };
     let inst = Instance::new(tree.clone(), spec.generate(&tree, 7)).unwrap();
-    let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+    let run = run_general(&inst, 0.5).unwrap();
 
     println!("\n== Lemma 8: completion times, T vs T' ==\n");
     println!("{:>5} {:>12} {:>12} {:>9}", "job", "C_j on T", "C_j on T'", "T wins?");

@@ -14,7 +14,7 @@ use bandwidth_tree_scheduling::analysis::metrics::{FlowStats, LayerBreakdown};
 use bandwidth_tree_scheduling::core::render;
 use bandwidth_tree_scheduling::core::tree::TreeBuilder;
 use bandwidth_tree_scheduling::core::{Instance, Job, NodeId};
-use bandwidth_tree_scheduling::sched::{run_general, GeneralConfig};
+use bandwidth_tree_scheduling::sched::run_general;
 
 fn main() {
     // --- Figure 1: the tree network ---------------------------------
@@ -48,7 +48,7 @@ fn main() {
 
     // --- Run the paper's general-tree algorithm ---------------------
     let eps = 0.5;
-    let run = run_general(&inst, &GeneralConfig::new(eps)).expect("simulation runs");
+    let run = run_general(&inst, eps).expect("simulation runs");
 
     println!("== Schedule (ε = {eps}, paper speed profile) ==\n");
     println!("{:>4} {:>8} {:>6} {:>10} {:>10} {:>8}", "job", "release", "size", "leaf", "C_j", "flow");

@@ -6,7 +6,7 @@ use bandwidth_tree_scheduling::analysis::runner::{
     baseline_basket, paper_combo, AssignKind, NodePolicyKind, PolicyCombo,
 };
 use bandwidth_tree_scheduling::core::{Setting, SpeedProfile};
-use bandwidth_tree_scheduling::sched::{run_general, GeneralConfig};
+use bandwidth_tree_scheduling::sched::run_general;
 use bandwidth_tree_scheduling::sim::invariants;
 use bandwidth_tree_scheduling::workloads::jobs::{
     ArrivalProcess, SizeDist, UnrelatedModel, WorkloadSpec,
@@ -90,7 +90,7 @@ fn general_algorithm_beats_or_matches_its_broomstick_everywhere() {
         )
         .instance(&tree, seed)
         .unwrap();
-        let run = run_general(&inst, &GeneralConfig::new(0.5)).unwrap();
+        let run = run_general(&inst, 0.5).unwrap();
         assert!(run.lemma8_violations(&inst).is_empty());
     }
 }
