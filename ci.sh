@@ -54,6 +54,9 @@ cargo test -q --release -p bct-core --test properties mutation_walks_match_from_
 # The full pass (parse + graph + reachability over the workspace) must
 # stay interactive-fast; gate at 5s so a complexity regression in the
 # analyzer itself fails CI rather than slowly rotting the dev loop.
+# Build the analyzer first, so the clock times the pass, not its
+# release compile.
+cargo build -q --release -p bct-lint
 lint_start=$(date +%s%N)
 cargo run -q --release -p bct-lint -- \
     --machine target/LINT.json --graph target/LINT_GRAPH.json

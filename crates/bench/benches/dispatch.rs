@@ -45,9 +45,6 @@ struct RoundRobin {
 }
 
 impl AssignmentPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
     fn assign(&mut self, _view: &SimView<'_>, _job: JobId) -> NodeId {
         let v = self.leaves[self.next];
         self.next = (self.next + 1) % self.leaves.len();

@@ -3,7 +3,6 @@
 use crate::error::CoreError;
 use crate::ids::{JobId, NodeId};
 use crate::job::{Job, LeafSizes};
-use crate::mutate::{AppliedMutations, TreeMutation};
 use crate::time::Time;
 use crate::tree::Tree;
 use serde::de::Error as _;
@@ -129,8 +128,11 @@ impl Instance {
     /// Validate and build an instance.
     ///
     /// Requirements: dense ids in vector order, non-decreasing release
-    /// times, positive sizes, and (in the unrelated setting) leaf-size
-    /// tables matching the tree's leaf count with positive entries.
+    /// times, positive sizes, origins at live non-root nodes, and (in
+    /// the unrelated setting) leaf-size tables matching the tree's leaf
+    /// count with positive entries. The tree may carry an applied
+    /// mutation history: construction is the one route from a mutated
+    /// tree to an instance, so these checks cover it.
     /// Identical and unrelated jobs may not be mixed; the instance
     /// setting is unrelated iff any job is.
     pub fn new(tree: Tree, jobs: Vec<Job>) -> Result<Instance, CoreError> {
@@ -155,7 +157,10 @@ impl Instance {
                 return Err(CoreError::NonPositiveSize(j.id));
             }
             if let Some(origin) = j.origin {
-                if origin.as_usize() >= tree.len() || origin == NodeId::ROOT {
+                if origin.as_usize() >= tree.len()
+                    || origin == NodeId::ROOT
+                    || !tree.is_alive(origin)
+                {
                     return Err(CoreError::BadJobIds);
                 }
             }
@@ -189,75 +194,6 @@ impl Instance {
     #[inline]
     pub fn tree(&self) -> &Tree {
         &self.tree
-    }
-
-    /// The topology epoch this instance's cached paths belong to
-    /// (delegates to [`Tree::epoch`]; bumped by
-    /// [`Instance::apply_tree_mutations`]).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.tree.epoch()
-    }
-
-    /// Queue a topology mutation on the underlying tree; applied (and
-    /// re-validated against the job sequence) by
-    /// [`Instance::apply_tree_mutations`].
-    pub fn queue_mutation(&mut self, m: TreeMutation) {
-        self.tree.queue_mutation(m);
-    }
-
-    /// Apply all queued tree mutations **all-or-nothing** and rebuild
-    /// the origin path cache for the new epoch.
-    ///
-    /// Unlike [`Tree::apply_mutations`] (which mutates in place and may
-    /// stop mid-batch on error), this stages the batch on a clone and
-    /// commits only if every mutation applies *and* the job sequence is
-    /// still valid against the new topology:
-    ///
-    /// * In the unrelated setting, per-job leaf-size tables are indexed
-    ///   by dense leaf index, so any leaf-set change (add, remove,
-    ///   promote) is rejected; only `SetSpeed` is allowed.
-    /// * Every job origin must survive (a tombstoned origin would leave
-    ///   jobs with no processing path).
-    ///
-    /// On error the instance is unchanged except that the pending queue
-    /// has been consumed.
-    pub fn apply_tree_mutations(&mut self) -> Result<AppliedMutations, CoreError> {
-        if self.tree.pending_mutations().is_empty() {
-            return self.tree.apply_mutations();
-        }
-        let mut staged = self.tree.clone();
-        let applied = staged.apply_mutations();
-        // Drop the queue on the real tree regardless of outcome so a
-        // failed batch cannot be half-replayed later.
-        self.tree.pending.clear();
-        let applied = applied?;
-        if self.setting == Setting::Unrelated {
-            if let Some(&changed) = applied
-                .added
-                .first()
-                .or(applied.removed.first())
-                .or(applied.promoted.first())
-            {
-                return Err(CoreError::InvalidMutation {
-                    node: changed,
-                    reason: "unrelated-setting leaf-size tables cannot survive a leaf-set change",
-                });
-            }
-        }
-        for j in &self.jobs {
-            if let Some(o) = j.origin {
-                if !staged.is_alive(o) {
-                    return Err(CoreError::InvalidMutation {
-                        node: o,
-                        reason: "a job origin was tombstoned",
-                    });
-                }
-            }
-        }
-        self.tree = staged;
-        self.paths = PathCache::build(&self.tree, &self.jobs);
-        Ok(applied)
     }
 
     /// All jobs in release order.
@@ -503,6 +439,7 @@ impl Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mutate::TreeMutation;
     use crate::tree::TreeBuilder;
 
     fn tree() -> Tree {
@@ -686,19 +623,22 @@ mod tests {
         assert_eq!(back.origin, Some(NodeId(2)));
     }
 
+    /// `tree()` with `m` applied.
+    fn mutated(m: TreeMutation) -> Tree {
+        let mut t = tree();
+        t.queue_mutation(m);
+        t.apply_mutations().unwrap();
+        t
+    }
+
     #[test]
-    fn apply_tree_mutations_recomputes_paths() {
+    fn instances_on_a_mutated_tree_cover_its_paths() {
         // tree(): root -> r(1) -> {m(2) -> leaf(4), leaf(3)}
-        let mut inst = Instance::new(
-            tree(),
-            vec![Job::identical(0u32, 0.0, 1.0).with_origin(NodeId(3))],
-        )
-        .unwrap();
-        inst.queue_mutation(TreeMutation::AddLeaf { parent: NodeId(2) });
-        let applied = inst.apply_tree_mutations().unwrap();
-        assert_eq!(applied.added, vec![NodeId(5)]);
-        assert_eq!(inst.epoch(), 1);
-        // The origin path cache covers the new leaf after the rebuild.
+        let t = mutated(TreeMutation::AddLeaf { parent: NodeId(2) });
+        assert_eq!(t.epoch(), 1);
+        let inst =
+            Instance::new(t, vec![Job::identical(0u32, 0.0, 1.0).with_origin(NodeId(3))]).unwrap();
+        // The origin path cache covers the added leaf.
         assert_eq!(
             inst.path_of(JobId(0), NodeId(5)),
             vec![NodeId(1), NodeId(2), NodeId(5)]
@@ -707,50 +647,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_tree_mutations_is_all_or_nothing() {
-        let mut inst = Instance::new(tree(), vec![Job::identical(0u32, 0.0, 1.0)]).unwrap();
-        // Second mutation in the batch is invalid (can't add under the
-        // machine 3); the valid first one must not leak in.
-        inst.queue_mutation(TreeMutation::AddLeaf { parent: NodeId(2) });
-        inst.queue_mutation(TreeMutation::AddLeaf { parent: NodeId(3) });
-        assert!(inst.apply_tree_mutations().is_err());
-        assert_eq!(inst.epoch(), 0);
-        assert_eq!(inst.tree().len(), 5, "staged batch must not commit");
-        assert!(inst.tree().pending_mutations().is_empty(), "queue is consumed");
-    }
-
-    #[test]
-    fn unrelated_instances_reject_leaf_set_changes() {
-        let mut inst = Instance::new(
-            tree(),
-            vec![Job::unrelated(0u32, 0.0, 2.0, vec![7.0, 3.0])],
-        )
-        .unwrap();
-        inst.queue_mutation(TreeMutation::RemoveLeaf { leaf: NodeId(3) });
-        assert!(matches!(
-            inst.apply_tree_mutations(),
-            Err(CoreError::InvalidMutation { .. })
-        ));
-        // Speed changes don't touch the leaf set and are fine.
-        inst.queue_mutation(TreeMutation::SetSpeed { node: NodeId(3), factor: 2.0 });
-        assert!(inst.apply_tree_mutations().is_ok());
-        assert_eq!(inst.tree().speed_factor(NodeId(3)), 2.0);
-    }
-
-    #[test]
     fn tombstoning_a_job_origin_is_rejected() {
-        let mut inst = Instance::new(
-            tree(),
-            vec![Job::identical(0u32, 0.0, 1.0).with_origin(NodeId(3))],
-        )
-        .unwrap();
-        inst.queue_mutation(TreeMutation::RemoveLeaf { leaf: NodeId(3) });
-        assert!(matches!(
-            inst.apply_tree_mutations(),
-            Err(CoreError::InvalidMutation { .. })
-        ));
-        assert_eq!(inst.epoch(), 0);
-        assert!(inst.tree().is_alive(NodeId(3)));
+        let t = mutated(TreeMutation::RemoveLeaf { leaf: NodeId(3) });
+        assert!(!t.is_alive(NodeId(3)));
+        let r = Instance::new(t, vec![Job::identical(0u32, 0.0, 1.0).with_origin(NodeId(3))]);
+        assert_eq!(r.unwrap_err(), CoreError::BadJobIds);
     }
 
     #[test]

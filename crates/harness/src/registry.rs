@@ -16,7 +16,6 @@ use bct_sim::engine::SimError;
 use bct_sim::policy::NoProbe;
 use bct_sim::{
     AssignmentPolicy, NodePolicy, Probe, SimConfig, SimOutcome, SimScratch, SimView, Simulation,
-    StatefulPolicy,
 };
 use bct_core::{JobId, NodeId};
 
@@ -122,7 +121,7 @@ impl AssignKind {
     /// kinds' per-endpoint ledger; the stateless kinds ignore it.
     /// Public so long-lived consumers (the serve layer's online
     /// sessions) can keep the boxed policy's state across commands.
-    pub fn build(&self, capacity: Option<f64>) -> Box<dyn StatefulPolicy> {
+    pub fn build(&self, capacity: Option<f64>) -> Box<dyn AssignmentPolicy> {
         match *self {
             AssignKind::GreedyIdentical(eps) => Box::new(GreedyIdentical::new(eps)),
             AssignKind::GreedyNoDistance(eps) => {
@@ -147,10 +146,6 @@ impl AssignKind {
 pub struct ChaosPolicy;
 
 impl AssignmentPolicy for ChaosPolicy {
-    fn name(&self) -> &'static str {
-        "chaos"
-    }
-
     fn assign(&mut self, _view: &SimView<'_>, job: JobId) -> NodeId {
         // bct-lint: allow(p1) -- the chaos policy exists to inject faults; the pool's catch_unwind is the system under test
         panic!("chaos policy: deliberate fault at job {}", job.as_usize());
@@ -177,41 +172,30 @@ impl PolicyCombo {
         self.run_probed(inst, speeds, &mut NoProbe)
     }
 
-    /// Run with an observer probe.
-    pub fn run_probed(
+    /// Run with an observer probe (a [`bct_sim::Trace`] records the
+    /// run's events).
+    pub fn run_probed<P: Probe + ?Sized>(
         &self,
         inst: &Instance,
         speeds: &SpeedProfile,
-        probe: &mut dyn Probe,
-    ) -> Result<SimOutcome, SimError> {
-        self.run_with_scratch(&mut SimScratch::new(), inst, speeds, probe)
-    }
-
-    /// [`PolicyCombo::run_probed`] reusing a [`SimScratch`]'s buffers —
-    /// the path sweep workers take, giving each worker thread one
-    /// long-lived arena instead of a fresh allocation storm per cell.
-    pub fn run_with_scratch(
-        &self,
-        scratch: &mut SimScratch,
-        inst: &Instance,
-        speeds: &SpeedProfile,
-        probe: &mut dyn Probe,
+        probe: &mut P,
     ) -> Result<SimOutcome, SimError> {
         let cfg = SimConfig::with_speeds(speeds.clone());
-        self.run_configured(scratch, inst, &cfg, None, probe)
+        self.run_configured(&mut SimScratch::new(), inst, &cfg, None, probe)
     }
 
     /// The fully general entry point: an arbitrary [`SimConfig`] (e.g.
     /// carrying a churn schedule) plus the per-endpoint `capacity` fed
-    /// to the capacity-aware assignment kinds. This is what the sweep
-    /// engine calls for dynamic-topology cells.
-    pub fn run_configured(
+    /// to the capacity-aware assignment kinds, on `scratch`'s buffers.
+    /// This is what every sweep cell calls, each worker thread with one
+    /// long-lived scratch.
+    pub fn run_configured<P: Probe + ?Sized>(
         &self,
         scratch: &mut SimScratch,
         inst: &Instance,
         cfg: &SimConfig,
         capacity: Option<f64>,
-        probe: &mut dyn Probe,
+        probe: &mut P,
     ) -> Result<SimOutcome, SimError> {
         let node = self.node.build();
         let mut assign = self.assign.build(capacity);

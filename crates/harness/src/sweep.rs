@@ -428,16 +428,21 @@ pub fn run_cell(task: &CellTask) -> Result<CellMetrics, String> {
     Ok(metrics)
 }
 
-/// Measure one finished simulation into row metrics.
+/// Measure one finished simulation into row metrics. An offline run
+/// that returns `Ok` has run every job to completion; the guard keeps
+/// a row from ever folding an open completion if that changes.
 fn metrics_from(inst: &Instance, out: &SimOutcome) -> Result<CellMetrics, String> {
     if out.unfinished > 0 {
-        return Err(format!("{} jobs unfinished at horizon", out.unfinished));
+        return Err(format!(
+            "{} jobs unfinished when the run ended",
+            out.unfinished
+        ));
     }
     let mut total_flow = 0.0f64;
     let mut max_flow = 0.0f64;
     for (c, j) in out.completions.iter().zip(inst.jobs()) {
-        // bct-lint: allow(p1) -- guarded by the `out.unfinished > 0` early return just above
-        let f = c.expect("checked finished") - j.release;
+        // bct-lint: allow(p1) -- guarded by the `out.unfinished > 0` early return just above: every job completed
+        let f = c.expect("every job completed") - j.release;
         total_flow += f;
         max_flow = max_flow.max(f);
     }

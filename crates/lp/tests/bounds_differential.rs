@@ -168,13 +168,14 @@ fn eta_instance(seed: u64, family: usize, unrelated: bool, dyadic: bool) -> Inst
 
 /// Reshape an identical-setting instance's tree with a few `AddLeaf`s
 /// under random routers and `RemoveLeaf`s of random leaves (which may
-/// promote a router to a machine). Batches the tree rejects leave the
-/// instance as it was. Returns how many batches applied.
+/// promote a router to a machine), each applied to a copy of the tree
+/// and the instance rebuilt on it. Mutations the tree rejects leave the
+/// instance as it was. Returns how many mutations applied.
 fn reshape(inst: &mut Instance, seed: u64) -> usize {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
     let mut applied = 0;
     for _ in 0..rng.gen_range(1..=6) {
-        let t = inst.tree();
+        let mut t = inst.tree().clone();
         let m = if rng.gen_bool(0.5) {
             let routers: Vec<NodeId> = t.non_root_nodes().filter(|&v| t.is_router(v)).collect();
             TreeMutation::AddLeaf {
@@ -185,8 +186,11 @@ fn reshape(inst: &mut Instance, seed: u64) -> usize {
                 leaf: t.leaves()[rng.gen_range(0..t.num_leaves())],
             }
         };
-        inst.queue_mutation(m);
-        applied += usize::from(inst.apply_tree_mutations().is_ok());
+        t.queue_mutation(m);
+        if t.apply_mutations().is_ok() {
+            *inst = Instance::new(t, inst.jobs().to_vec()).unwrap();
+            applied += 1;
+        }
     }
     applied
 }

@@ -17,10 +17,6 @@ use rand_chacha::ChaCha8Rng;
 pub struct FixedAssignment(pub Vec<NodeId>);
 
 impl AssignmentPolicy for FixedAssignment {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
     fn assign(&mut self, _view: &SimView<'_>, job: JobId) -> NodeId {
         self.0[job.as_usize()]
     }
@@ -36,10 +32,6 @@ impl AssignmentPolicy for FixedAssignment {
 pub struct ClosestLeaf;
 
 impl AssignmentPolicy for ClosestLeaf {
-    fn name(&self) -> &'static str {
-        "closest"
-    }
-
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         *view
             .tree()
@@ -70,10 +62,6 @@ impl RandomLeaf {
 }
 
 impl AssignmentPolicy for RandomLeaf {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
     fn assign(&mut self, view: &SimView<'_>, _job: JobId) -> NodeId {
         let leaves = view.tree().leaves();
         leaves[self.rng.gen_range(0..leaves.len())]
@@ -81,6 +69,12 @@ impl AssignmentPolicy for RandomLeaf {
 
     fn needs_aggregates(&self) -> bool {
         false
+    }
+
+    /// The stream position: two replicas whose streams diverged would
+    /// otherwise desync undetected on the next draw.
+    fn state_digest(&self) -> u64 {
+        self.rng.word_pos()
     }
 }
 
@@ -91,10 +85,6 @@ pub struct RoundRobin {
 }
 
 impl AssignmentPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
     fn assign(&mut self, view: &SimView<'_>, _job: JobId) -> NodeId {
         let leaves = view.tree().leaves();
         let v = leaves[self.next % leaves.len()];
@@ -104,6 +94,11 @@ impl AssignmentPolicy for RoundRobin {
 
     fn needs_aggregates(&self) -> bool {
         false
+    }
+
+    /// The cursor, which decides the next pick.
+    fn state_digest(&self) -> u64 {
+        self.next as u64
     }
 }
 
@@ -115,10 +110,6 @@ impl AssignmentPolicy for RoundRobin {
 pub struct LeastVolume;
 
 impl AssignmentPolicy for LeastVolume {
-    fn name(&self) -> &'static str {
-        "least-volume"
-    }
-
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         // The entry node's volume is shared by every leaf below it:
@@ -149,10 +140,6 @@ impl AssignmentPolicy for LeastVolume {
 pub struct MinEta;
 
 impl AssignmentPolicy for MinEta {
-    fn name(&self) -> &'static str {
-        "min-eta"
-    }
-
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         min_scored_leaf(view, |v| view.eta_via(job, v))
@@ -254,6 +241,28 @@ mod tests {
         // Different seeds *may* coincide on 3 jobs/2 leaves, but not for
         // these specific seeds (fixed expectation keeps this stable).
         assert!(a != c || a == c, "smoke");
+    }
+
+    #[test]
+    fn cursor_and_stream_position_reach_the_digest() {
+        // The serve layer's epoch hash folds `state_digest`, so state a
+        // policy carries from one decision to the next must show in it.
+        let inst = lopsided();
+        let mut rr = RoundRobin::default();
+        let mut rl = RandomLeaf::new(7);
+        let before = (rr.state_digest(), rl.state_digest());
+        for asg in [&mut rr as &mut dyn AssignmentPolicy, &mut rl] {
+            Simulation::run(
+                &inst,
+                &crate::node::Sjf::new(),
+                asg,
+                &mut NoProbe,
+                &SimConfig::unit(),
+            )
+            .unwrap();
+        }
+        assert_ne!(rr.state_digest(), before.0, "round-robin cursor");
+        assert_ne!(rl.state_digest(), before.1, "random-leaf stream position");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! * [`assign`] — leaf-assignment baselines: fixed, closest-leaf,
 //!   random, round-robin, least-volume and min-η. The paper's greedy
 //!   bound-minimizing assignment lives in `bct-sched` (it *is* the
-//!   contribution).
+//!   contribution). `random` and `round-robin` carry a stream position
+//!   or a cursor across decisions and digest it for the serve layer's
+//!   epoch hash.
 //! * [`prio`] — helpers for the paper's priority sets `S_{v,j}(t)`.
 //! * [`stateful`] — capacity-aware stateful dispatchers (best-fit,
-//!   min-active, random-feasible) built on the `StatefulPolicy` hooks,
-//!   for dynamic-topology runs.
+//!   min-active, random-feasible) built on `AssignmentPolicy`'s
+//!   completion and drain hooks, for dynamic-topology runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

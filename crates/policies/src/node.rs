@@ -35,10 +35,6 @@ impl Sjf {
 }
 
 impl NodePolicy for Sjf {
-    fn name(&self) -> &'static str {
-        "sjf"
-    }
-
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         let p = ctx.instance.p(ctx.job, ctx.node);
         let primary = match &self.rounding {
@@ -56,10 +52,6 @@ impl NodePolicy for Sjf {
 pub struct Fifo;
 
 impl NodePolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         PolicyKey::new(
             ctx.arrived_at_node,
@@ -76,10 +68,6 @@ impl NodePolicy for Fifo {
 pub struct Srpt;
 
 impl NodePolicy for Srpt {
-    fn name(&self) -> &'static str {
-        "srpt"
-    }
-
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         PolicyKey::new(ctx.remaining, ctx.instance.job(ctx.job).release, ctx.job.0)
     }
@@ -93,10 +81,6 @@ impl NodePolicy for Srpt {
 pub struct Hdf;
 
 impl NodePolicy for Hdf {
-    fn name(&self) -> &'static str {
-        "hdf"
-    }
-
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         let job = ctx.instance.job(ctx.job);
         PolicyKey::new(
@@ -112,10 +96,6 @@ impl NodePolicy for Hdf {
 pub struct Ljf;
 
 impl NodePolicy for Ljf {
-    fn name(&self) -> &'static str {
-        "ljf"
-    }
-
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         PolicyKey::new(
             -ctx.instance.p(ctx.job, ctx.node),
@@ -205,15 +185,6 @@ mod tests {
         let big = key_of(&ljf, &inst, 0, 8.0, 0.0);
         let small = key_of(&ljf, &inst, 1, 2.0, 1.0);
         assert!(big < small);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Sjf::new().name(), "sjf");
-        assert_eq!(Fifo.name(), "fifo");
-        assert_eq!(Srpt.name(), "srpt");
-        assert_eq!(Ljf.name(), "ljf");
-        assert_eq!(Hdf.name(), "hdf");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Capacity-aware stateful assignment policies.
 //!
-//! Unlike the stateless baselines in [`crate::assign`], these track
-//! their own commitments across calls via the [`StatefulPolicy`] hooks:
-//! work committed to a leaf is charged at dispatch, credited back when
-//! the job completes there ([`StatefulPolicy::on_complete`]), and also
+//! Unlike the baselines in [`crate::assign`], these track their own
+//! commitments across calls via the [`AssignmentPolicy`] hooks: work
+//! committed to a leaf is charged at dispatch, credited back when the
+//! job completes there ([`AssignmentPolicy::on_complete`]), and also
 //! credited back when a topology mutation drains the job off the leaf
-//! ([`StatefulPolicy::on_drain`]) — so the books stay balanced through
+//! ([`AssignmentPolicy::on_drain`]) — so the books stay balanced through
 //! leaf churn.
 //!
 //! All three policies share a [`CapacityTracker`] with an optional
@@ -15,7 +15,7 @@
 //! no reject path; a saturated system degrades to load balancing).
 
 use bct_core::{JobId, NodeId};
-use bct_sim::{SimView, StatefulPolicy};
+use bct_sim::{AssignmentPolicy, SimView};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -151,11 +151,7 @@ impl BestFit {
     }
 }
 
-impl StatefulPolicy for BestFit {
-    fn name(&self) -> &'static str {
-        "best-fit"
-    }
-
+impl AssignmentPolicy for BestFit {
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let mut best: Option<NodeId> = None;
@@ -219,11 +215,7 @@ impl MinActive {
     }
 }
 
-impl StatefulPolicy for MinActive {
-    fn name(&self) -> &'static str {
-        "min-active"
-    }
-
+impl AssignmentPolicy for MinActive {
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let pick = |require_fit: bool, tracker: &CapacityTracker| -> Option<NodeId> {
@@ -291,11 +283,7 @@ impl RandomFeasible {
     }
 }
 
-impl StatefulPolicy for RandomFeasible {
-    fn name(&self) -> &'static str {
-        "random-feasible"
-    }
-
+impl AssignmentPolicy for RandomFeasible {
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         self.feasible.clear();
@@ -357,7 +345,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn run(inst: &Instance, policy: &mut dyn StatefulPolicy) -> bct_sim::SimOutcome {
+    fn run(inst: &Instance, policy: &mut dyn AssignmentPolicy) -> bct_sim::SimOutcome {
         Simulation::run(
             inst,
             &crate::node::Sjf::new(),

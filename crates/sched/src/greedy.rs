@@ -105,10 +105,6 @@ impl GreedyIdentical {
 }
 
 impl AssignmentPolicy for GreedyIdentical {
-    fn name(&self) -> &'static str {
-        "greedy-identical"
-    }
-
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;
@@ -151,10 +147,6 @@ impl GreedyUnrelated {
 }
 
 impl AssignmentPolicy for GreedyUnrelated {
-    fn name(&self) -> &'static str {
-        "greedy-unrelated"
-    }
-
     // bct-lint: no_alloc
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let me = *self;

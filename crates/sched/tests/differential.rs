@@ -176,9 +176,6 @@ impl Probe for DiffProbe {
 struct GreedyByF;
 
 impl AssignmentPolicy for GreedyByF {
-    fn name(&self) -> &'static str {
-        "greedy-by-f"
-    }
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         argmin_leaf(view.tree().leaves(), |v| {
             f_term(view, job, v) + f_prime_term(view, job, v)
@@ -191,9 +188,6 @@ impl AssignmentPolicy for GreedyByF {
 struct GreedyByNaive;
 
 impl AssignmentPolicy for GreedyByNaive {
-    fn name(&self) -> &'static str {
-        "greedy-by-naive"
-    }
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         argmin_leaf(view.tree().leaves(), |v| {
             naive_f(view, job, view.entry_node(job, v)) + naive_f_prime(view, job, v)
@@ -286,9 +280,6 @@ struct CheckDecisions {
 }
 
 impl AssignmentPolicy for CheckDecisions {
-    fn name(&self) -> &'static str {
-        "check-decisions"
-    }
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         for rule in Rule::all() {
             assert_eq!(
@@ -308,9 +299,6 @@ impl AssignmentPolicy for CheckDecisions {
 struct OracleDispatch(Rule);
 
 impl AssignmentPolicy for OracleDispatch {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         self.0.oracle(view, job)
     }

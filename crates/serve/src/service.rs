@@ -14,7 +14,7 @@ use std::io::Write;
 
 use bct_core::{Fnv64, Time};
 use bct_harness::spec;
-use bct_sim::policy::{NodePolicy, StatefulPolicy};
+use bct_sim::policy::{AssignmentPolicy, NodePolicy};
 use bct_sim::engine::SimError;
 use bct_sim::{SessionError, SimSession};
 use serde::{Deserialize, Serialize};
@@ -44,7 +44,7 @@ pub struct ServeConfig {
 
 /// The live pieces a [`ServeConfig`] describes: the session plus the
 /// node and assignment policies driving it.
-type LiveParts = (SimSession, Box<dyn NodePolicy>, Box<dyn StatefulPolicy>);
+type LiveParts = (SimSession, Box<dyn NodePolicy>, Box<dyn AssignmentPolicy>);
 
 impl ServeConfig {
     /// Build the three live pieces this config describes.
@@ -65,7 +65,7 @@ pub struct Service<W: Write> {
     cfg: ServeConfig,
     session: SimSession,
     node_policy: Box<dyn NodePolicy>,
-    assignment: Box<dyn StatefulPolicy>,
+    assignment: Box<dyn AssignmentPolicy>,
     log: Option<LogWriter<W>>,
     commands: u64,
     shutdown: bool,

@@ -2,10 +2,10 @@
 
 use crate::evq::{EventQueue, FinishEv};
 use crate::outcome::{HopFinishes, SimOutcome};
-use crate::policy::{NodePolicy, Probe, StatefulPolicy};
+use crate::policy::{AssignmentPolicy, NodePolicy, Probe};
 use crate::scratch::SimScratch;
 use crate::state::SimState;
-use crate::trace::{Trace, TraceKind};
+use crate::trace::TraceKind;
 use bct_core::{CoreError, Instance, JobId, NodeId, Setting, SpeedProfile, Time, TreeMutation};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -28,13 +28,13 @@ pub struct TopoMutation {
     pub change: TreeMutation,
 }
 
-/// Engine configuration.
+/// Engine configuration: what the run simulates. How it is observed
+/// is the probe's business — pass a [`crate::Trace`] as the probe to
+/// record one.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Per-node speeds (resource augmentation over the adversary).
     pub speeds: SpeedProfile,
-    /// Record a full [`Trace`] in the outcome.
-    pub record_trace: bool,
     /// Hard cap on processed events (runaway guard).
     pub max_events: u64,
     /// Topology mutation schedule, sorted by time. Empty (the default)
@@ -48,25 +48,18 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Unit speeds, no trace.
+    /// Unit speeds, static topology.
     pub fn unit() -> SimConfig {
         SimConfig::with_speeds(SpeedProfile::unit())
     }
 
-    /// Given speeds, no trace.
+    /// Given speeds, static topology.
     pub fn with_speeds(speeds: SpeedProfile) -> SimConfig {
         SimConfig {
             speeds,
-            record_trace: false,
             max_events: 1 << 34,
             mutations: Vec::new(),
         }
-    }
-
-    /// Enable trace recording.
-    pub fn traced(mut self) -> SimConfig {
-        self.record_trace = true;
-        self
     }
 
     /// Schedule topology mutations (must be sorted by time; validated
@@ -132,7 +125,6 @@ impl std::error::Error for SimError {}
 ///
 /// struct Sjf;
 /// impl NodePolicy for Sjf {
-///     fn name(&self) -> &'static str { "sjf" }
 ///     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
 ///         PolicyKey::new(ctx.instance.p(ctx.job, ctx.node),
 ///                        ctx.instance.job(ctx.job).release, ctx.job.0)
@@ -140,7 +132,6 @@ impl std::error::Error for SimError {}
 /// }
 /// struct ToLeaf(NodeId);
 /// impl AssignmentPolicy for ToLeaf {
-///     fn name(&self) -> &'static str { "fixed" }
 ///     fn assign(&mut self, _: &SimView<'_>, _: bct_core::JobId) -> NodeId { self.0 }
 /// }
 ///
@@ -157,7 +148,7 @@ impl Simulation {
     ///
     /// One-shot convenience over [`Simulation::run_with_scratch`] with a
     /// throwaway [`SimScratch`].
-    pub fn run<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
+    pub fn run<N: NodePolicy + ?Sized, A: AssignmentPolicy + ?Sized, P: Probe + ?Sized>(
         instance: &Instance,
         node_policy: &N,
         assignment: &mut A,
@@ -175,7 +166,11 @@ impl Simulation {
     /// is cleared in place, the event queue restarts its sequence
     /// counter, and the aggregates' block boundaries depend only on the
     /// current queue contents.
-    pub fn run_with_scratch<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
+    pub fn run_with_scratch<
+        N: NodePolicy + ?Sized,
+        A: AssignmentPolicy + ?Sized,
+        P: Probe + ?Sized,
+    >(
         scratch: &mut SimScratch,
         instance: &Instance,
         node_policy: &N,
@@ -238,30 +233,30 @@ impl Simulation {
     /// Offer `job` to `node`; if the node's current job changed,
     /// trace the preemption/start and (re-)schedule the finish event.
     // bct-lint: no_alloc
-    fn offer<N: NodePolicy + ?Sized>(
+    fn offer<N: NodePolicy + ?Sized, P: Probe + ?Sized>(
         st: &mut SimState<'_>,
         node: NodeId,
         job: JobId,
         node_policy: &N,
-        trace: &mut Option<Trace>,
+        probe: &mut P,
         evq: &mut EventQueue,
     ) {
         let prev = st.view().current_job(node);
         let changed = st.enqueue(node, job, node_policy);
         if changed {
-            if let (Some(tr), Some(p)) = (trace.as_mut(), prev) {
-                tr.push(st.view().now(), node, p, TraceKind::Preempt);
+            if let Some(p) = prev {
+                probe.on_trace(st.view().now(), node, p, TraceKind::Preempt);
             }
-            Self::schedule_current(st, node, trace, evq);
+            Self::schedule_current(st, node, probe, evq);
         }
     }
 
     /// Trace the start of `node`'s current job and push its finish event.
     // bct-lint: no_alloc
-    fn schedule_current(
+    fn schedule_current<P: Probe + ?Sized>(
         st: &mut SimState<'_>,
         node: NodeId,
-        trace: &mut Option<Trace>,
+        probe: &mut P,
         evq: &mut EventQueue,
     ) {
         let now = st.view().now();
@@ -270,21 +265,14 @@ impl Simulation {
             debug_assert!(false, "schedule_current called on an idle node");
             return;
         };
-        if let Some(tr) = trace.as_mut() {
-            tr.push(now, node, j, TraceKind::Start);
-        }
+        probe.on_trace(now, node, j, TraceKind::Start);
         let version = st.node_version(node);
         EventQueue::push(evq, t_fin.max(now), node, version);
     }
 
     /// Assemble the outcome from the pooled buffers, then hand the
     /// state's buffers back to `scratch`.
-    fn collect(
-        st: SimState<'_>,
-        scratch: &mut SimScratch,
-        trace: Option<Trace>,
-        events: u64,
-    ) -> SimOutcome {
+    fn collect(st: SimState<'_>, scratch: &mut SimScratch, events: u64) -> SimOutcome {
         let n = st.view().instance().n();
         let mut completions = mem::take(&mut scratch.completions);
         completions.clear();
@@ -319,7 +307,6 @@ impl Simulation {
             events,
             makespan,
             unfinished,
-            trace,
         }
     }
 }
@@ -354,7 +341,6 @@ pub(crate) struct RunLane<'a> {
     instance: &'a Instance,
     st: SimState<'a>,
     evq: EventQueue,
-    trace: Option<Trace>,
     /// Cursor into `instance.jobs()` (releases are validated
     /// non-decreasing, so arrivals never need the event queue).
     next_arrival: usize,
@@ -384,7 +370,6 @@ impl<'a> RunLane<'a> {
             .materialize_into(instance.tree(), &mut scratch.speeds)
             .map_err(SimError::BadSpeeds)?;
         let st = SimState::from_scratch(instance, track_aggs, dynamic, scratch);
-        let trace = cfg.record_trace.then(Trace::default);
         let mut evq = mem::take(&mut scratch.evq);
         evq.reset();
         // Topology mutations ride the pending-event queue as sentinel
@@ -400,7 +385,6 @@ impl<'a> RunLane<'a> {
             instance,
             st,
             evq,
-            trace,
             next_arrival: 0,
             events: 0,
             drained: mem::take(&mut scratch.drained),
@@ -414,8 +398,7 @@ impl<'a> RunLane<'a> {
     /// job table for jobs appended to the instance since the suspend,
     /// and restore the scalars. The live topology is taken from
     /// `scratch.topo` as-is, never re-cloned from the instance, whose
-    /// tree is frozen at the epoch the lane started. Suspended lanes
-    /// record no trace.
+    /// tree is frozen at the epoch the lane started.
     // bct-lint: no_alloc
     pub(crate) fn resume(
         scratch: &mut SimScratch,
@@ -451,7 +434,6 @@ impl<'a> RunLane<'a> {
             instance,
             st,
             evq: mem::take(&mut scratch.evq),
-            trace: None,
             next_arrival: saved.next_arrival,
             events: saved.events,
             drained: mem::take(&mut scratch.drained),
@@ -490,7 +472,11 @@ impl<'a> RunLane<'a> {
     /// objectives over the idle tail. After an `Err` an offline run's
     /// lane must be retired with [`RunLane::abort`].
     // bct-lint: no_alloc
-    pub(crate) fn run_until<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
+    pub(crate) fn run_until<
+        N: NodePolicy + ?Sized,
+        A: AssignmentPolicy + ?Sized,
+        P: Probe + ?Sized,
+    >(
         &mut self,
         until: Option<Time>,
         node_policy: &N,
@@ -512,14 +498,19 @@ impl<'a> RunLane<'a> {
     /// order), mutate the owned tree, grow the node tables for added
     /// ids, let freed survivors pick new work, then redispatch the
     /// drained jobs through the assignment policy.
-    pub(crate) fn apply_mutation<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized>(
+    pub(crate) fn apply_mutation<
+        N: NodePolicy + ?Sized,
+        A: AssignmentPolicy + ?Sized,
+        P: Probe + ?Sized,
+    >(
         &mut self,
         change: TreeMutation,
         node_policy: &N,
         assignment: &mut A,
+        probe: &mut P,
         cfg: &SimConfig,
     ) -> Result<(), SimError> {
-        let RunLane { st, trace, evq, drained, freed, doomed, .. } = self;
+        let RunLane { st, evq, drained, freed, doomed, .. } = self;
         let speeds = &cfg.speeds;
         let now = st.view().now();
         // 1. Which nodes disappear, and which in-flight jobs lose their
@@ -540,9 +531,7 @@ impl<'a> RunLane<'a> {
                 freed.push(v);
                 // The node genuinely stopped processing; record it so
                 // the trace's mutual-exclusion story stays closed.
-                if let Some(tr) = trace.as_mut() {
-                    tr.push(now, v, j, TraceKind::Preempt);
-                }
+                probe.on_trace(now, v, j, TraceKind::Preempt);
             }
             assignment.on_drain(&st.view(), j, old_leaf);
         }
@@ -579,24 +568,21 @@ impl<'a> RunLane<'a> {
         freed.sort_unstable();
         for &v in freed.iter() {
             if st.tree().is_alive(v) && st.view().current_job(v).is_none() && st.pick_next(v) {
-                Simulation::schedule_current(st, v, trace, evq);
+                Simulation::schedule_current(st, v, probe, evq);
             }
         }
-        // 7. Tell the policy about the new epoch, then redispatch the
-        //    drained jobs in id order. Each restarts from the root on
-        //    its new path; partially processed work is forfeited.
-        assignment.on_topo(&st.view());
+        // 7. Redispatch the drained jobs in id order against the new
+        //    epoch. Each restarts from the root on its new path;
+        //    partially processed work is forfeited.
         for &(j, _) in drained.iter() {
             let leaf = assignment.assign(&st.view(), j);
             if !st.tree().is_leaf(leaf) {
                 return Err(SimError::AssignmentNotALeaf { job: j, node: leaf });
             }
             st.readmit(j, leaf);
-            if let Some(tr) = trace.as_mut() {
-                tr.push(now, leaf, j, TraceKind::Redispatch);
-            }
+            probe.on_trace(now, leaf, j, TraceKind::Redispatch);
             let first = st.view().path(j)[0];
-            Simulation::offer(st, first, j, node_policy, trace, evq);
+            Simulation::offer(st, first, j, node_policy, probe, evq);
         }
         Ok(())
     }
@@ -605,7 +591,7 @@ impl<'a> RunLane<'a> {
     /// mutation) if it falls at or before `until`. Returns `Ok(true)` if
     /// an event was processed, `Ok(false)` when none is left by then.
     // bct-lint: no_alloc
-    fn step<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized, P: Probe + ?Sized>(
+    fn step<N: NodePolicy + ?Sized, A: AssignmentPolicy + ?Sized, P: Probe + ?Sized>(
         &mut self,
         until: Option<Time>,
         node_policy: &N,
@@ -644,11 +630,11 @@ impl<'a> RunLane<'a> {
                 // node_version lookup — the sentinel id is out of
                 // bounds for the node tables.
                 let change = cfg.mutations[version as usize].change;
-                self.apply_mutation(change, node_policy, assignment, cfg)?;
+                self.apply_mutation(change, node_policy, assignment, probe, cfg)?;
                 probe.on_event(&self.st.view());
                 return Ok(true);
             }
-            match self.handle_finish(node, version, node_policy, assignment) {
+            match self.handle_finish(node, version, node_policy, assignment, probe) {
                 // Stale: the node's job changed since scheduling. (No
                 // `on_event` either — the solo loop `continue`d here.)
                 None => return Ok(true),
@@ -662,11 +648,9 @@ impl<'a> RunLane<'a> {
                 return Err(SimError::AssignmentNotALeaf { job, node: leaf });
             }
             self.st.admit(job, leaf);
-            if let Some(tr) = self.trace.as_mut() {
-                tr.push(t, leaf, job, TraceKind::Arrive);
-            }
+            probe.on_trace(t, leaf, job, TraceKind::Arrive);
             let first = self.st.view().path(job)[0];
-            Simulation::offer(&mut self.st, first, job, node_policy, &mut self.trace, &mut self.evq);
+            Simulation::offer(&mut self.st, first, job, node_policy, probe, &mut self.evq);
             probe.on_arrival(&self.st.view(), job, leaf);
         }
         probe.on_event(&self.st.view());
@@ -679,35 +663,32 @@ impl<'a> RunLane<'a> {
     /// next waiting job. Returns the job whose hop finished, `None` on
     /// a stale event.
     // bct-lint: no_alloc
-    fn handle_finish<N: NodePolicy + ?Sized, A: StatefulPolicy + ?Sized>(
+    fn handle_finish<N: NodePolicy + ?Sized, A: AssignmentPolicy + ?Sized, P: Probe + ?Sized>(
         &mut self,
         node: NodeId,
         version: u64,
         node_policy: &N,
         assignment: &mut A,
+        probe: &mut P,
     ) -> Option<JobId> {
-        let RunLane { st, trace, evq, .. } = self;
+        let RunLane { st, evq, .. } = self;
         if st.node_version(node) != version {
             return None;
         }
         let t = st.view().now();
         let job = st.finish_current_hop(node);
-        if let Some(tr) = trace.as_mut() {
-            tr.push(t, node, job, TraceKind::FinishHop);
-            if st.view().completion(job).is_some() {
-                tr.push(t, node, job, TraceKind::Complete);
-            }
-        }
+        probe.on_trace(t, node, job, TraceKind::FinishHop);
         if st.view().completion(job).is_none() {
             match st.view().current_node_of(job) {
-                Some(next) => Simulation::offer(st, next, job, node_policy, trace, evq),
+                Some(next) => Simulation::offer(st, next, job, node_policy, probe, evq),
                 None => debug_assert!(false, "unfinished job must be in flight"),
             }
         } else {
+            probe.on_trace(t, node, job, TraceKind::Complete);
             assignment.on_complete(&st.view(), job, node);
         }
         if st.pick_next(node) {
-            Simulation::schedule_current(st, node, trace, evq);
+            Simulation::schedule_current(st, node, probe, evq);
         }
         Some(job)
     }
@@ -718,7 +699,7 @@ impl<'a> RunLane<'a> {
         scratch.drained = self.drained;
         scratch.freed = self.freed;
         scratch.doomed = self.doomed;
-        let out = Simulation::collect(self.st, scratch, self.trace, self.events);
+        let out = Simulation::collect(self.st, scratch, self.events);
         scratch.evq = self.evq;
         out
     }

@@ -78,22 +78,16 @@ mod tests {
     use bct_core::Job;
 
     fn traced_run() -> (Instance, Trace) {
-        use crate::policy::{AssignmentPolicy, KeyCtx, NoProbe, NodePolicy, PolicyKey};
+        use crate::policy::{AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey};
         use crate::{SimConfig, SimView, Simulation};
         struct Sjf;
         impl NodePolicy for Sjf {
-            fn name(&self) -> &'static str {
-                "sjf"
-            }
             fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
                 PolicyKey::new(ctx.instance.p(ctx.job, ctx.node), 0.0, ctx.job.0)
             }
         }
         struct To(NodeId);
         impl AssignmentPolicy for To {
-            fn name(&self) -> &'static str {
-                "to"
-            }
             fn assign(&mut self, _: &SimView<'_>, _: JobId) -> NodeId {
                 self.0
             }
@@ -109,15 +103,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = Simulation::run(
-            &inst,
-            &Sjf,
-            &mut To(leaf),
-            &mut NoProbe,
-            &SimConfig::unit().traced(),
-        )
-        .unwrap();
-        let trace = out.trace.unwrap();
+        let mut trace = Trace::default();
+        Simulation::run(&inst, &Sjf, &mut To(leaf), &mut trace, &SimConfig::unit()).unwrap();
         (inst, trace)
     }
 

@@ -52,6 +52,6 @@ pub use evq::EventQueue;
 pub use outcome::{HopFinishes, SimOutcome};
 pub use scratch::SimScratch;
 pub use session::{SessionError, SimSession};
-pub use policy::{AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, Probe, StatefulPolicy};
+pub use policy::{AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, Probe};
 pub use state::SimView;
 pub use trace::{Trace, TraceEvent, TraceKind};

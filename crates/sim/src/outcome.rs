@@ -1,6 +1,5 @@
 //! The result of a simulation run.
 
-use crate::trace::Trace;
 use bct_core::{JobId, NodeId, Time};
 use serde::{Deserialize, Serialize};
 use std::ops::Index;
@@ -91,7 +90,9 @@ impl Index<usize> for HopFinishes {
 /// Everything measured during a run.
 ///
 /// Vectors are indexed by job id; entries are `None` for jobs that had
-/// not completed when the run stopped.
+/// not completed when the run stopped. The event-by-event record is not
+/// part of the outcome: a run that wants one passes a [`crate::Trace`]
+/// as its probe.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimOutcome {
     /// Completion time `C_j` per job.
@@ -114,8 +115,6 @@ pub struct SimOutcome {
     pub makespan: Time,
     /// Number of jobs not finished when the run stopped.
     pub unfinished: usize,
-    /// Optional full trace (when requested in the config).
-    pub trace: Option<Trace>,
 }
 
 impl SimOutcome {
@@ -202,7 +201,6 @@ mod tests {
             events: 9,
             makespan: 10.0,
             unfinished: 0,
-            trace: None,
         }
     }
 

@@ -1,6 +1,9 @@
-//! Policy traits: how nodes pick jobs and how arrivals pick leaves.
+//! The engine's plug-in roles, one trait each: how nodes pick jobs
+//! ([`NodePolicy`]), how arrivals pick leaves ([`AssignmentPolicy`]),
+//! and how a run is observed ([`Probe`]).
 
 use crate::state::SimView;
+use crate::trace::TraceKind;
 use bct_core::{Instance, JobId, NodeId, Time};
 use std::cmp::Ordering;
 
@@ -79,23 +82,32 @@ pub struct KeyCtx<'a> {
 /// [`NodePolicy::key`]; an arriving job preempts the running one iff its
 /// key is strictly smaller.
 pub trait NodePolicy {
-    /// Short stable name for reports.
-    fn name(&self) -> &'static str;
-
     /// Priority key of `job` at `ctx.node`; smaller runs first.
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey;
 }
 
-/// Chooses the leaf for each arriving job (immediate dispatch).
+/// Chooses the leaf for each arriving job (immediate dispatch), and may
+/// carry mutable state across decisions.
 ///
 /// The view exposes the live queues `Q_v(t)` and remaining volumes
 /// `p^A_{i,v}(t)` — everything the paper's greedy rule (§3.4) needs.
+/// Only [`AssignmentPolicy::assign`] is required; the hooks default to
+/// no-ops, and only policies that track residual capacity or other
+/// per-decision state override them.
+///
+/// Hook timing in a dynamic run:
+///
+/// * [`AssignmentPolicy::on_complete`] — a job just finished its leaf
+///   hop (state already reflects the completion).
+/// * [`AssignmentPolicy::on_drain`] — `job` was pulled out of the
+///   system because a topology mutation removed or disconnected its
+///   assigned leaf; once the mutation is applied it is re-offered via
+///   [`AssignmentPolicy::assign`] in the same event, against the new
+///   epoch's tree.
+#[allow(unused_variables)]
 pub trait AssignmentPolicy {
-    /// Short stable name for reports.
-    fn name(&self) -> &'static str;
-
     /// Pick the leaf that `job` (released exactly now) is dispatched to.
-    /// Must return a leaf of `view.instance().tree()`.
+    /// Must return a leaf of `view.tree()`.
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId;
 
     /// Whether this policy uses the view's sub-linear aggregate queries
@@ -107,40 +119,6 @@ pub trait AssignmentPolicy {
     fn needs_aggregates(&self) -> bool {
         true
     }
-}
-
-/// An assignment policy that may carry mutable state across decisions
-/// and wants to hear about job and topology lifecycle events.
-///
-/// This is the trait the engine actually consumes. Every
-/// [`AssignmentPolicy`] is a `StatefulPolicy` through a blanket impl
-/// (the lifecycle hooks default to no-ops), so existing stateless
-/// policies pass through unchanged; only policies that track residual
-/// capacity or per-leaf occupancy implement this trait directly.
-///
-/// Hook timing in a dynamic run:
-///
-/// * [`StatefulPolicy::on_complete`] — a job just finished its leaf hop
-///   (state already reflects the completion).
-/// * [`StatefulPolicy::on_drain`] — `job` was pulled out of the system
-///   because a topology mutation removed or disconnected its assigned
-///   leaf; it will be re-offered via [`StatefulPolicy::assign`] in the
-///   same event.
-/// * [`StatefulPolicy::on_topo`] — the mutation has been applied; the
-///   view's tree reflects the new epoch. Called before the drained
-///   jobs are re-assigned.
-#[allow(unused_variables)]
-pub trait StatefulPolicy {
-    /// Short stable name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Pick the leaf for `job`; must be a leaf of `view.tree()`.
-    fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId;
-
-    /// See [`AssignmentPolicy::needs_aggregates`].
-    fn needs_aggregates(&self) -> bool {
-        true
-    }
 
     /// `job` completed at its assigned `leaf`.
     fn on_complete(&mut self, view: &SimView<'_>, job: JobId, leaf: NodeId) {}
@@ -149,36 +127,21 @@ pub trait StatefulPolicy {
     /// re-assignment.
     fn on_drain(&mut self, view: &SimView<'_>, job: JobId, old_leaf: NodeId) {}
 
-    /// A topology mutation was applied; `view.tree()` is the new epoch.
-    fn on_topo(&mut self, view: &SimView<'_>) {}
-
     /// Deterministic digest of any mutable state the policy carries
     /// across decisions (capacity ledgers, round-robin cursors, RNG
     /// positions). The serve layer folds this into its per-epoch state
     /// hash so replica desync *inside the policy* is caught the same
-    /// way engine desync is. Stateless policies keep the default `0`.
+    /// way engine desync is. Policies without such state keep the
+    /// default `0`.
     fn state_digest(&self) -> u64 {
         0
     }
 }
 
-impl<T: AssignmentPolicy + ?Sized> StatefulPolicy for T {
-    fn name(&self) -> &'static str {
-        AssignmentPolicy::name(self)
-    }
-
-    fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
-        AssignmentPolicy::assign(self, view, job)
-    }
-
-    fn needs_aggregates(&self) -> bool {
-        AssignmentPolicy::needs_aggregates(self)
-    }
-}
-
 /// Optional observer invoked by the engine at semantically meaningful
 /// points; used by the Lemma-bound calculators and the dual-fitting
-/// verifier to sample live state.
+/// verifier to sample live state, and by [`crate::Trace`] to record a
+/// run.
 #[allow(unused_variables)]
 pub trait Probe {
     /// A job was released and assigned (state already reflects both).
@@ -190,6 +153,11 @@ pub trait Probe {
 
     /// Called after every processed event, with the post-event state.
     fn on_event(&mut self, view: &SimView<'_>) {}
+
+    /// One engine action at time `t`, in the engine's processing order:
+    /// the stream a [`crate::Trace`] records (see [`TraceKind`] for what
+    /// `node` means per kind).
+    fn on_trace(&mut self, t: Time, node: NodeId, job: JobId, kind: TraceKind) {}
 
     /// Whether this probe uses the view's aggregate queries; see
     /// [`AssignmentPolicy::needs_aggregates`].

@@ -30,7 +30,7 @@
 //! precedes completions at `t`.
 
 use crate::engine::{RunLane, SimConfig, SimError, SuspendedLane};
-use crate::policy::{NoProbe, NodePolicy, StatefulPolicy};
+use crate::policy::{AssignmentPolicy, NoProbe, NodePolicy};
 use crate::scratch::SimScratch;
 use bct_core::{CoreError, Instance, JobId, NodeId, SpeedProfile, Time, Tree, TreeMutation};
 use std::fmt;
@@ -144,7 +144,7 @@ impl SimSession {
         release: Time,
         size: Time,
         node_policy: &dyn NodePolicy,
-        assignment: &mut dyn StatefulPolicy,
+        assignment: &mut dyn AssignmentPolicy,
     ) -> Result<(JobId, NodeId), SessionError> {
         if release < self.saved.now {
             return Err(SessionError::TimeRegression {
@@ -171,7 +171,7 @@ impl SimSession {
         &mut self,
         t: Time,
         node_policy: &dyn NodePolicy,
-        assignment: &mut dyn StatefulPolicy,
+        assignment: &mut dyn AssignmentPolicy,
     ) -> Result<(), SessionError> {
         if !(t.is_finite() && t >= 0.0) {
             return Err(SessionError::BadTime(t));
@@ -203,7 +203,7 @@ impl SimSession {
         &mut self,
         change: TreeMutation,
         node_policy: &dyn NodePolicy,
-        assignment: &mut dyn StatefulPolicy,
+        assignment: &mut dyn AssignmentPolicy,
     ) -> Result<u64, SessionError> {
         {
             // bct-lint: allow(a2) -- mutation staging validates on a throwaway copy; mutations are rare control events, not `Service::apply`'s steady state
@@ -214,7 +214,7 @@ impl SimSession {
                 .map_err(|e| SessionError::Sim(SimError::BadMutation(e)))?;
         }
         self.with_lane(|lane, cfg| {
-            lane.apply_mutation(change, node_policy, assignment, cfg)
+            lane.apply_mutation(change, node_policy, assignment, &mut NoProbe, cfg)
                 .map(|()| lane.state().tree().epoch())
                 .map_err(SessionError::Sim)
         })
@@ -327,9 +327,6 @@ mod tests {
 
     struct Sjf;
     impl NodePolicy for Sjf {
-        fn name(&self) -> &'static str {
-            "sjf"
-        }
         fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
             PolicyKey::new(
                 ctx.instance.p(ctx.job, ctx.node),
@@ -342,9 +339,6 @@ mod tests {
     /// Deterministic stateless spreader: job id modulo the live leaf list.
     struct RoundLeaf;
     impl AssignmentPolicy for RoundLeaf {
-        fn name(&self) -> &'static str {
-            "roundleaf"
-        }
         fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
             let leaves = view.tree().leaves();
             leaves[job.as_usize() % leaves.len()]
@@ -387,7 +381,7 @@ mod tests {
     /// — and assert that it reproduces the offline run of the same
     /// instance and schedule bit for bit: every arrival's leaf, every
     /// completion, both objective integrals. Returns the epoch reached.
-    fn assert_session_matches_run<A: StatefulPolicy>(
+    fn assert_session_matches_run<A: AssignmentPolicy>(
         tree: Tree,
         speeds: SpeedProfile,
         jobs: &[Job],
@@ -526,9 +520,6 @@ mod tests {
         aggs: bool,
     }
     impl AssignmentPolicy for LeastLoaded {
-        fn name(&self) -> &'static str {
-            "least-loaded"
-        }
         fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
             let j = view.instance().job(job);
             let score = |leaf: NodeId| {

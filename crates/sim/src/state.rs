@@ -1164,9 +1164,6 @@ mod tests {
     struct SizeOrder;
 
     impl NodePolicy for SizeOrder {
-        fn name(&self) -> &'static str {
-            "size"
-        }
         fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
             PolicyKey::new(
                 ctx.instance.p(ctx.job, ctx.node),

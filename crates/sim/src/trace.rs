@@ -1,7 +1,12 @@
 //! Execution traces: a flat, serializable record of everything the
 //! engine did, consumed by the invariant checker and by debugging
 //! output.
+//!
+//! A [`Trace`] is a [`Probe`]: a run is traced by passing a
+//! `&mut Trace` as its probe, which records every
+//! [`Probe::on_trace`] event in order.
 
+use crate::policy::Probe;
 use bct_core::{JobId, NodeId, Time};
 use serde::{Deserialize, Serialize};
 
@@ -75,6 +80,16 @@ impl Trace {
     /// True if no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+}
+
+impl Probe for Trace {
+    fn on_trace(&mut self, t: Time, node: NodeId, job: JobId, kind: TraceKind) {
+        self.push(t, node, job, kind);
+    }
+
+    fn needs_aggregates(&self) -> bool {
+        false
     }
 }
 

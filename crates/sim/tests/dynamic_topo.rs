@@ -8,16 +8,13 @@ use bct_sim::engine::SimError;
 use bct_sim::policy::NoProbe;
 use bct_sim::{
     invariants, AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimScratch, SimView,
-    Simulation, TopoMutation, TraceKind,
+    Simulation, TopoMutation, Trace, TraceKind,
 };
 
 /// SJF on original size, ties by release then id.
 struct Sjf;
 
 impl NodePolicy for Sjf {
-    fn name(&self) -> &'static str {
-        "sjf"
-    }
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         let p = ctx.instance.p(ctx.job, ctx.node);
         let r = ctx.instance.job(ctx.job).release;
@@ -30,9 +27,6 @@ impl NodePolicy for Sjf {
 struct Prefer(NodeId);
 
 impl AssignmentPolicy for Prefer {
-    fn name(&self) -> &'static str {
-        "prefer"
-    }
     fn assign(&mut self, view: &SimView<'_>, _job: JobId) -> NodeId {
         if view.tree().is_leaf(self.0) {
             self.0
@@ -46,9 +40,6 @@ impl AssignmentPolicy for Prefer {
 struct PickLast;
 
 impl AssignmentPolicy for PickLast {
-    fn name(&self) -> &'static str {
-        "pick-last"
-    }
     fn assign(&mut self, view: &SimView<'_>, _job: JobId) -> NodeId {
         *view.tree().leaves().iter().max().unwrap()
     }
@@ -84,12 +75,24 @@ fn removing_an_idle_leaf_changes_nothing() {
     let t = branching();
     let jobs = vec![Job::identical(0u32, 0.0, 2.0), Job::identical(1u32, 1.0, 2.0)];
     let inst = Instance::new(t, jobs).unwrap();
-    let mut static_cfg = SimConfig::unit().traced();
-    let static_out =
-        Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(7)), &mut NoProbe, &static_cfg).unwrap();
+    let mut static_cfg = SimConfig::unit();
+    let static_out = Simulation::run(
+        &inst,
+        &Sjf,
+        &mut Prefer(NodeId(7)),
+        &mut Trace::default(),
+        &static_cfg,
+    )
+    .unwrap();
     static_cfg.mutations = vec![at(1.5, TreeMutation::RemoveLeaf { leaf: NodeId(4) })];
-    let dyn_out =
-        Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(7)), &mut NoProbe, &static_cfg).unwrap();
+    let dyn_out = Simulation::run(
+        &inst,
+        &Sjf,
+        &mut Prefer(NodeId(7)),
+        &mut Trace::default(),
+        &static_cfg,
+    )
+    .unwrap();
     // Nothing ever ran in r1's subtree, so completions are untouched.
     assert_eq!(dyn_out.completions, static_out.completions);
     assert_eq!(dyn_out.unfinished, 0);
@@ -102,11 +105,10 @@ fn removing_a_busy_leaf_drains_and_redispatches() {
     let jobs = vec![Job::identical(0u32, 0.0, 2.0), Job::identical(1u32, 0.0, 2.0)];
     let inst = Instance::new(t, jobs).unwrap();
     let cfg = SimConfig::unit()
-        .traced()
         .with_mutations(vec![at(1.0, TreeMutation::RemoveLeaf { leaf: NodeId(4) })]);
-    let out = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(4)), &mut NoProbe, &cfg).unwrap();
+    let mut trace = Trace::default();
+    let out = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(4)), &mut trace, &cfg).unwrap();
     assert_eq!(out.unfinished, 0, "drained jobs must still complete");
-    let trace = out.trace.as_ref().unwrap();
     let redispatches: Vec<_> = trace
         .events
         .iter()
@@ -124,7 +126,7 @@ fn removing_a_busy_leaf_drains_and_redispatches() {
     }
     // The trace stays feasible under the static-scope invariant checker
     // (dynamic jobs keep mutual-exclusion coverage).
-    let v = invariants::check(&inst, &SpeedProfile::unit(), trace);
+    let v = invariants::check(&inst, &SpeedProfile::unit(), &trace);
     assert!(v.is_empty(), "{v:?}");
 }
 
@@ -136,9 +138,8 @@ fn added_leaf_receives_later_jobs() {
     let jobs = vec![Job::identical(0u32, 0.0, 2.0), Job::identical(1u32, 3.0, 2.0)];
     let inst = Instance::new(t, jobs).unwrap();
     let cfg = SimConfig::unit()
-        .traced()
         .with_mutations(vec![at(1.0, TreeMutation::AddLeaf { parent: NodeId(6) })]);
-    let out = Simulation::run(&inst, &Sjf, &mut PickLast, &mut NoProbe, &cfg).unwrap();
+    let out = Simulation::run(&inst, &Sjf, &mut PickLast, &mut Trace::default(), &cfg).unwrap();
     assert_eq!(out.unfinished, 0);
     assert_eq!(out.assignments[0], Some(NodeId(7)), "pre-mutation max leaf");
     assert_eq!(
@@ -170,17 +171,16 @@ fn failing_a_subtree_redispatches_to_survivors() {
         (0..4u32).map(|i| Job::identical(i, f64::from(i) * 0.25, 2.0)).collect();
     let inst = Instance::new(t, jobs).unwrap();
     // Node 1 takes its whole subtree (a=3, leaves 4 and 5) down at 1.5.
-    let cfg = SimConfig::unit()
-        .traced()
-        .with_mutations(vec![at(1.5, TreeMutation::FailNode { node: NodeId(1) })]);
-    let out = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(4)), &mut NoProbe, &cfg).unwrap();
+    let cfg =
+        SimConfig::unit().with_mutations(vec![at(1.5, TreeMutation::FailNode { node: NodeId(1) })]);
+    let mut trace = Trace::default();
+    let out = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(4)), &mut trace, &cfg).unwrap();
     assert_eq!(out.unfinished, 0);
     // Every job finished on the surviving branch's leaf.
-    let trace = out.trace.as_ref().unwrap();
     for e in trace.events.iter().filter(|e| e.kind == TraceKind::Complete) {
         assert_eq!(e.node, NodeId(7));
     }
-    let v = invariants::check(&inst, &SpeedProfile::unit(), trace);
+    let v = invariants::check(&inst, &SpeedProfile::unit(), &trace);
     assert!(v.is_empty(), "{v:?}");
 }
 
@@ -189,12 +189,14 @@ fn post_completion_mutations_leave_the_outcome_byte_identical() {
     let t = branching();
     let jobs = vec![Job::identical(0u32, 0.0, 2.0), Job::identical(1u32, 0.5, 1.0)];
     let inst = Instance::new(t, jobs).unwrap();
-    let cfg = SimConfig::unit().traced();
-    let a = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(7)), &mut NoProbe, &cfg).unwrap();
+    let cfg = SimConfig::unit();
+    let mut a_trace = Trace::default();
+    let a = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(7)), &mut a_trace, &cfg).unwrap();
     // Same schedule plus a mutation long after the last completion.
     let cfg =
         cfg.with_mutations(vec![at(1e6, TreeMutation::RemoveLeaf { leaf: NodeId(4) })]);
-    let b = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(7)), &mut NoProbe, &cfg).unwrap();
+    let mut b_trace = Trace::default();
+    let b = Simulation::run(&inst, &Sjf, &mut Prefer(NodeId(7)), &mut b_trace, &cfg).unwrap();
     // The mutation itself counts as one processed event; everything the
     // schedule produced must match exactly.
     assert_eq!(b.events, a.events + 1);
@@ -205,7 +207,7 @@ fn post_completion_mutations_leave_the_outcome_byte_identical() {
     assert_eq!(a.node_busy, b.node_busy);
     // (makespan is the clock at the last processed event, so the late
     // mutation legitimately moves it; everything job-visible matches.)
-    assert_eq!(a.trace.unwrap().events, b.trace.unwrap().events);
+    assert_eq!(a_trace.events, b_trace.events);
 }
 
 #[test]
@@ -214,23 +216,24 @@ fn dynamic_runs_are_deterministic_on_a_warm_scratch() {
     let jobs: Vec<Job> =
         (0..6u32).map(|i| Job::identical(i, f64::from(i) * 0.4, 1.5)).collect();
     let inst = Instance::new(t, jobs).unwrap();
-    let cfg = SimConfig::unit().traced().with_mutations(vec![
+    let cfg = SimConfig::unit().with_mutations(vec![
         at(1.0, TreeMutation::AddLeaf { parent: NodeId(6) }),
         at(2.0, TreeMutation::RemoveLeaf { leaf: NodeId(4) }),
         at(2.0, TreeMutation::SetSpeed { node: NodeId(7), factor: 1.5 }),
     ]);
     let mut scratch = SimScratch::new();
     let run = |scratch: &mut SimScratch| {
+        let mut trace = Trace::default();
         let out = Simulation::run_with_scratch(
             scratch,
             &inst,
             &Sjf,
             &mut Prefer(NodeId(4)),
-            &mut NoProbe,
+            &mut trace,
             &cfg,
         )
         .unwrap();
-        serde_json::to_string(&out).unwrap()
+        (serde_json::to_string(&out).unwrap(), serde_json::to_string(&trace).unwrap())
     };
     let first = run(&mut scratch);
     let second = run(&mut scratch);

@@ -7,8 +7,8 @@ use bct_core::tree::TreeBuilder;
 use bct_sim::policy::NoProbe;
 use bct_sim::reference::run_reference;
 use bct_sim::{
-    invariants, AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimSession, SimView,
-    Simulation,
+    invariants, AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimOutcome, SimSession,
+    SimView, Simulation, Trace,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -19,9 +19,6 @@ use rand_chacha::ChaCha8Rng;
 struct Sjf;
 
 impl NodePolicy for Sjf {
-    fn name(&self) -> &'static str {
-        "sjf"
-    }
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         let p = ctx.instance.p(ctx.job, ctx.node);
         let r = ctx.instance.job(ctx.job).release;
@@ -33,9 +30,6 @@ impl NodePolicy for Sjf {
 struct Fixed(Vec<NodeId>);
 
 impl AssignmentPolicy for Fixed {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
     fn assign(&mut self, _view: &SimView<'_>, job: JobId) -> NodeId {
         self.0[job.as_usize()]
     }
@@ -64,13 +58,18 @@ fn branching_tree() -> Tree {
     b.build().unwrap()
 }
 
-fn run(
-    inst: &Instance,
-    leaves: Vec<NodeId>,
-    speeds: SpeedProfile,
-) -> bct_sim::SimOutcome {
-    let cfg = SimConfig::with_speeds(speeds).traced();
-    Simulation::run(inst, &Sjf, &mut Fixed(leaves), &mut NoProbe, &cfg).unwrap()
+/// Run `inst` with job i dispatched to `leaves[i]`, recording a trace.
+fn traced(inst: &Instance, leaves: Vec<NodeId>, speeds: SpeedProfile) -> (SimOutcome, Trace) {
+    let mut trace = Trace::default();
+    let cfg = SimConfig::with_speeds(speeds);
+    let out = Simulation::run(inst, &Sjf, &mut Fixed(leaves), &mut trace, &cfg).unwrap();
+    (out, trace)
+}
+
+/// [`traced`], keeping only the outcome (the trace's chronology is
+/// still debug-asserted as it records).
+fn run(inst: &Instance, leaves: Vec<NodeId>, speeds: SpeedProfile) -> SimOutcome {
+    traced(inst, leaves, speeds).0
 }
 
 #[test]
@@ -133,13 +132,12 @@ fn sjf_preempts_longer_job() {
         ],
     )
     .unwrap();
-    let out = run(&inst, vec![leaf, leaf], SpeedProfile::unit());
+    let (out, tr) = traced(&inst, vec![leaf, leaf], SpeedProfile::unit());
     // Short: router 1->3, leaf 3->5 => C=5.
     assert_eq!(out.completions[1], Some(5.0));
     // Long: router work 0..1 then 3..12 (9 more), leaf 12..22.
     assert_eq!(out.completions[0], Some(22.0));
     // Trace must record the preemption.
-    let tr = out.trace.as_ref().unwrap();
     assert!(tr
         .events
         .iter()
@@ -244,16 +242,12 @@ fn trace_passes_invariant_checker() {
         ],
     )
     .unwrap();
-    let out = run(
+    let (_, trace) = traced(
         &inst,
         vec![NodeId(4), NodeId(4), NodeId(5), NodeId(7)],
         SpeedProfile::Uniform(1.5),
     );
-    let violations = invariants::check(
-        &inst,
-        &SpeedProfile::Uniform(1.5),
-        out.trace.as_ref().unwrap(),
-    );
+    let violations = invariants::check(&inst, &SpeedProfile::Uniform(1.5), &trace);
     assert!(violations.is_empty(), "violations: {violations:?}");
 }
 
@@ -345,8 +339,8 @@ proptest! {
     fn engine_traces_are_always_feasible(seed in 0u64..5000, unrelated in any::<bool>()) {
         let (inst, leaves) = random_instance(seed, unrelated);
         let speeds = SpeedProfile::Layered { root_adjacent: 1.0, deeper: 2.0 };
-        let out = run(&inst, leaves, speeds.clone());
-        let violations = invariants::check(&inst, &speeds, out.trace.as_ref().unwrap());
+        let (_, trace) = traced(&inst, leaves, speeds.clone());
+        let violations = invariants::check(&inst, &speeds, &trace);
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
 
@@ -369,9 +363,6 @@ proptest! {
 struct BadAssigner;
 
 impl AssignmentPolicy for BadAssigner {
-    fn name(&self) -> &'static str {
-        "bad"
-    }
     fn assign(&mut self, _view: &SimView<'_>, _job: JobId) -> NodeId {
         NodeId(1) // a router, never a leaf
     }
@@ -432,22 +423,6 @@ fn bad_speed_profile_is_an_error() {
     )
     .unwrap_err();
     assert!(matches!(err, bct_sim::engine::SimError::BadSpeeds(_)));
-}
-
-#[test]
-fn trace_is_absent_unless_requested() {
-    let t = chain_tree(1);
-    let leaf = t.leaves()[0];
-    let inst = Instance::new(t, vec![Job::identical(0u32, 0.0, 1.0)]).unwrap();
-    let out = Simulation::run(
-        &inst,
-        &Sjf,
-        &mut Fixed(vec![leaf]),
-        &mut NoProbe,
-        &SimConfig::unit(),
-    )
-    .unwrap();
-    assert!(out.trace.is_none());
 }
 
 #[test]
@@ -524,14 +499,10 @@ fn origin_jobs_contend_with_root_jobs_on_shared_nodes() {
         ],
     )
     .unwrap();
-    let out = run(&inst, vec![NodeId(5), NodeId(5)], SpeedProfile::unit());
+    let (out, trace) = traced(&inst, vec![NodeId(5), NodeId(5)], SpeedProfile::unit());
     // J1 (size 1) wins node a(3) and leaf v5 whenever both wait.
     assert!(out.completions[1].unwrap() < out.completions[0].unwrap());
-    let violations = invariants::check(
-        &inst,
-        &SpeedProfile::unit(),
-        out.trace.as_ref().unwrap(),
-    );
+    let violations = invariants::check(&inst, &SpeedProfile::unit(), &trace);
     assert!(violations.is_empty(), "{violations:?}");
 }
 

@@ -22,7 +22,7 @@ use bct_sim::engine::SimError;
 use bct_sim::policy::{NoProbe, Probe};
 use bct_sim::{
     AssignmentPolicy, KeyCtx, NodePolicy, PolicyKey, SimConfig, SimScratch, SimView, Simulation,
-    StatefulPolicy, TopoMutation,
+    TopoMutation,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,9 +54,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 struct Sjf;
 
 impl NodePolicy for Sjf {
-    fn name(&self) -> &'static str {
-        "sjf"
-    }
     fn key(&self, ctx: &KeyCtx<'_>) -> PolicyKey {
         let p = ctx.instance.p(ctx.job, ctx.node);
         let r = ctx.instance.job(ctx.job).release;
@@ -72,9 +69,6 @@ impl NodePolicy for Sjf {
 struct AggGreedy;
 
 impl AssignmentPolicy for AggGreedy {
-    fn name(&self) -> &'static str {
-        "agg-greedy"
-    }
     fn assign(&mut self, view: &SimView<'_>, job: JobId) -> NodeId {
         let inst = view.instance();
         let leaves = inst.tree().leaves();
@@ -105,9 +99,6 @@ struct DynRoundRobin {
 }
 
 impl AssignmentPolicy for DynRoundRobin {
-    fn name(&self) -> &'static str {
-        "dyn-round-robin"
-    }
     fn assign(&mut self, view: &SimView<'_>, _job: JobId) -> NodeId {
         let leaves = view.tree().leaves();
         let leaf = leaves[self.next % leaves.len()];
@@ -157,9 +148,6 @@ struct RoundRobin {
 }
 
 impl AssignmentPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
     fn assign(&mut self, _view: &SimView<'_>, _job: JobId) -> NodeId {
         let leaf = self.leaves[self.next % self.leaves.len()];
         self.next += 1;
@@ -208,7 +196,7 @@ fn assert_steady_state_zero_alloc(
     label: &str,
     inst: &Instance,
     cfg: &SimConfig,
-    mut mk: impl FnMut() -> Box<dyn StatefulPolicy>,
+    mut mk: impl FnMut() -> Box<dyn AssignmentPolicy>,
 ) {
     // Fresh-buffer baseline.
     let fresh = Simulation::run(inst, &Sjf, mk().as_mut(), &mut NoProbe, cfg).unwrap();

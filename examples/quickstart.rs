@@ -87,17 +87,16 @@ fn main() {
 
     // A traced re-run of the same schedule, rendered as an ASCII timeline.
     use bandwidth_tree_scheduling::policies::{FixedAssignment, Sjf};
-    use bandwidth_tree_scheduling::sim::policy::NoProbe;
-    use bandwidth_tree_scheduling::sim::{gantt, SimConfig, Simulation};
-    let traced = Simulation::run(
+    use bandwidth_tree_scheduling::sim::{gantt, SimConfig, Simulation, Trace};
+    let mut trace = Trace::default();
+    Simulation::run(
         &inst,
         &Sjf::new(),
         &mut FixedAssignment(run.assignments.clone()),
-        &mut NoProbe,
-        &SimConfig::with_speeds(bandwidth_tree_scheduling::core::SpeedProfile::paper_identical(eps))
-            .traced(),
+        &mut trace,
+        &SimConfig::with_speeds(bandwidth_tree_scheduling::core::SpeedProfile::paper_identical(eps)),
     )
     .expect("replay runs");
     println!("\n== Schedule timeline (digit = job id, '.' = idle) ==\n");
-    print!("{}", gantt::render(&inst, traced.trace.as_ref().unwrap(), 64));
+    print!("{}", gantt::render(&inst, &trace, 64));
 }

@@ -64,17 +64,18 @@ fn unrelated_pipeline_with_trace_checking() {
     let node_policy = bandwidth_tree_scheduling::policies::Sjf::new();
     let mut assign = bandwidth_tree_scheduling::sched::GreedyUnrelated::new(0.5);
     let speeds = SpeedProfile::Uniform(2.0);
-    let cfg = bandwidth_tree_scheduling::sim::SimConfig::with_speeds(speeds.clone()).traced();
-    let out = bandwidth_tree_scheduling::sim::Simulation::run(
+    let cfg = bandwidth_tree_scheduling::sim::SimConfig::with_speeds(speeds.clone());
+    let mut trace = bandwidth_tree_scheduling::sim::Trace::default();
+    bandwidth_tree_scheduling::sim::Simulation::run(
         &inst,
         &node_policy,
         &mut assign,
-        &mut bandwidth_tree_scheduling::sim::policy::NoProbe,
+        &mut trace,
         &cfg,
     )
     .unwrap();
     let _ = combo; // combo used above for documentation symmetry
-    let violations = invariants::check(&inst, &speeds, out.trace.as_ref().unwrap());
+    let violations = invariants::check(&inst, &speeds, &trace);
     assert!(violations.is_empty(), "{violations:?}");
 }
 

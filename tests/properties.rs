@@ -8,7 +8,7 @@ use bandwidth_tree_scheduling::sched::GreedyIdentical;
 use bandwidth_tree_scheduling::sim::packet::run_packetized;
 use bandwidth_tree_scheduling::sim::policy::NoProbe;
 use bandwidth_tree_scheduling::sim::reference::run_reference;
-use bandwidth_tree_scheduling::sim::{invariants, SimConfig, Simulation};
+use bandwidth_tree_scheduling::sim::{invariants, SimConfig, Simulation, Trace};
 use bandwidth_tree_scheduling::workloads::jobs::{ArrivalProcess, SizeDist, WorkloadSpec};
 use bandwidth_tree_scheduling::workloads::topo;
 use proptest::prelude::*;
@@ -56,11 +56,12 @@ proptest! {
         let inst = random_instance(seed, 20);
         let speeds = SpeedProfile::Layered { root_adjacent: 1.2, deeper: 1.8 };
         let mut greedy = GreedyIdentical::new(0.5);
-        let out = Simulation::run(
-            &inst, &Sjf::new(), &mut greedy, &mut NoProbe,
-            &SimConfig::with_speeds(speeds.clone()).traced(),
+        let mut trace = Trace::default();
+        Simulation::run(
+            &inst, &Sjf::new(), &mut greedy, &mut trace,
+            &SimConfig::with_speeds(speeds.clone()),
         ).unwrap();
-        let v = invariants::check(&inst, &speeds, out.trace.as_ref().unwrap());
+        let v = invariants::check(&inst, &speeds, &trace);
         prop_assert!(v.is_empty(), "{v:?}");
     }
 
